@@ -241,8 +241,8 @@ def circuit_to_json(c: Sigma2Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Sigma2Circuit:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         return Sigma2Circuit(
             n=int(payload["n"]),
             alphabet=tuple(payload["alphabet"]),

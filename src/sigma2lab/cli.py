@@ -3,8 +3,11 @@
 Every command assembles one payload dictionary and prints it either as
 stable JSON (--json: sorted keys, two-space indent, no timestamps) or
 as indented key: value lines rendered from the same dictionary. Exit
-codes: 0 on success, 2 for anything malformed on the command line
-including regex syntax, 3 when a transition monoid outgrows its limit.
+codes, each failure with one line on stderr: 0 on success; 2 for
+malformed input, from click's usage errors to regex syntax and bad
+families or circuits; 3 when a resource guard trips (the transition
+monoid outgrows its limit, a construction is asked for beyond its size
+cap); 4 when a self-check fails, naming the claim that failed.
 
 Lab experiments all report through the same frame: the input that was
 run, the verdict, the witness backing it, and a verification block that
@@ -13,9 +16,7 @@ re-checks the witness from scratch.
 
 from __future__ import annotations
 
-import functools
 import random
-import sys
 
 import click
 
@@ -47,15 +48,12 @@ from .entailment import (
     tangled_encoding,
 )
 from .errors import (
-    DegeneracyError,
-    MalformedPairSetError,
     MonoidSizeError,
-    NonSquareLengthError,
-    PackError,
-    PreconditionError,
     RegexSyntaxError,
-    SearchBudgetError,
+    SizeGuardError,
+    ToolkitError,
     UnknownSymbolError,
+    VerificationError,
 )
 from .flowers import bad_limit_via_flower, find_flower, verify_flower
 from .languages import accepts, compile_pattern
@@ -80,28 +78,39 @@ FIXTURES = {
 json_option = click.option(
     "--json", "as_json", is_flag=True, help="print stable JSON instead of lines"
 )
-
-# bad arguments to an experiment, as opposed to a failed verification,
-# leave through the usual usage-error path (message on stderr, exit 2)
-USER_ERRORS = (
-    DegeneracyError,
-    MalformedPairSetError,
-    NonSquareLengthError,
-    PackError,
-    PreconditionError,
-    SearchBudgetError,
+circuit_option = click.option(
+    "--circuit",
+    "path",
+    type=click.Path(exists=True, dir_okay=False),
+    default=None,
+    help="path to a circuit JSON file",
 )
 
+# exit code and stderr label of every library error, looked up along the
+# error's class hierarchy; ToolkitError covers the remaining input errors
+EXIT_CODES: dict[type, tuple[int, str]] = {
+    ToolkitError: (2, "invalid input"),
+    RegexSyntaxError: (2, "syntax error"),
+    UnknownSymbolError: (2, "syntax error"),
+    MonoidSizeError: (3, "monoid too large"),
+    SizeGuardError: (3, "too large"),
+    VerificationError: (4, "self-check failed"),
+}
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def inner(*args, **kwargs):
+
+class _Main(click.Group):
+    """The top group: every failure below it leaves with one stderr line."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
-        except USER_ERRORS as exc:
-            raise click.UsageError(str(exc))
-
-    return inner
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            code, label, message = exc.exit_code, "usage error", exc.format_message()
+        except ToolkitError as exc:
+            code, label = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+            message = str(exc)
+        click.echo(f"{label}: {message}", err=True)
+        ctx.exit(code)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -112,7 +121,7 @@ def _emit(payload: dict, as_json: bool) -> None:
             click.echo(line)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Language classification and the block-word laboratory."""
 
@@ -133,17 +142,7 @@ def main() -> None:
 @json_option
 def analyze(regex: str, alphabet: str, monoid_limit: int, as_json: bool) -> None:
     """Classify REGEX within the two-quantifier-block classes."""
-    alpha = tuple(alphabet)
-    try:
-        d = compile_pattern(regex, alpha)
-    except (RegexSyntaxError, UnknownSymbolError) as exc:
-        click.echo(f"syntax error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        rec = recognize(d, max_size=monoid_limit)
-    except MonoidSizeError as exc:
-        click.echo(f"monoid too large: {exc}", err=True)
-        sys.exit(3)
+    rec = recognize(compile_pattern(regex, tuple(alphabet)), max_size=monoid_limit)
     report = classify_recognition(rec, description=regex)
     _emit(class_report_to_dict(rec, report), as_json)
 
@@ -185,7 +184,6 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
     help="good, packed members joined by ';', or words joined by ','",
 )
 @json_option
-@guarded
 def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
     """Check whether a word is a k-limit of a family."""
     n = len(u) if n is None else n
@@ -214,7 +212,6 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
 @click.option("--sample", type=int, default=0, help="restrict to a random subfamily")
 @click.option("--seed", default=0, show_default=True)
 @json_option
-@guarded
 def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -> None:
     """Find a flower among the position sets of a family of good words."""
     words = _sampled(_parse_family(n, family), sample, seed)
@@ -244,7 +241,6 @@ def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -
 @click.option("--sample", type=int, default=0)
 @click.option("--seed", default=0, show_default=True)
 @json_option
-@guarded
 def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) -> None:
     """Decide tangledness; each verdict ships with its consequence."""
     words = _sampled(_parse_family(n, family), sample, seed)
@@ -285,7 +281,6 @@ def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) 
 @click.option("--samples", type=int, default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @json_option
-@guarded
 def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:
     """Run sampled families through both sides of the dichotomy."""
     pool = enumerate_good(n)
@@ -334,7 +329,6 @@ def reduce() -> None:
 @reduce.command()
 @click.option("--word", required=True)
 @json_option
-@guarded
 def expand(word: str, as_json: bool) -> None:
     """Expand a word and test the image against the block language."""
     expanded = expansion(word)
@@ -355,19 +349,9 @@ def expand(word: str, as_json: bool) -> None:
 @click.option("--lang", default=GOOD_BLOCK_LANGUAGE, show_default=True)
 @click.option("--alphabet", default="abc", show_default=True)
 @json_option
-@guarded
 def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
     """Wire a word through the failing equation pair of a language."""
-    try:
-        d = compile_pattern(lang, tuple(alphabet))
-    except (RegexSyntaxError, UnknownSymbolError) as exc:
-        click.echo(f"syntax error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        rec = recognize(d)
-    except MonoidSizeError as exc:
-        click.echo(f"monoid too large: {exc}", err=True)
-        sys.exit(3)
+    rec = recognize(compile_pattern(lang, tuple(alphabet)))
     sw = subword_relation(rec.morphism)
     verdict = check_sigma2(rec, sw)
     if verdict.holds:
@@ -406,7 +390,6 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
 @click.option("--word", required=True)
 @click.option("--moduli", required=True, help="comma separated, e.g. 2,3")
 @json_option
-@guarded
 def annotate(word: str, moduli: str, as_json: bool) -> None:
     """Attach divisor sets to every position of a word."""
     try:
@@ -448,10 +431,9 @@ def _load_circuit(fixture: str | None, path: str | None, n: int) -> tuple[str, S
 @circuit.command("eval")
 @click.option("--word", required=True)
 @click.option("--fixture", default=None, help=f"one of {sorted(FIXTURES)}")
-@click.option("--circuit", "path", default=None, help="path to a circuit JSON file")
+@circuit_option
 @click.option("--n", type=int, default=9, show_default=True, help="fixture word length")
 @json_option
-@guarded
 def eval_cmd(
     word: str, fixture: str | None, path: str | None, n: int, as_json: bool
 ) -> None:
@@ -468,7 +450,7 @@ def eval_cmd(
 
 @circuit.command("adversary")
 @click.option("--fixture", default=None, help=f"one of {sorted(FIXTURES)}")
-@click.option("--circuit", "path", default=None, help="path to a circuit JSON file")
+@circuit_option
 @click.option("--n", type=int, default=9, show_default=True, help="fixture word length")
 @click.option("--k", "-k", "k", type=int, default=1, show_default=True)
 @click.option(
@@ -479,7 +461,6 @@ def eval_cmd(
     show_default=True,
 )
 @json_option
-@guarded
 def adversary_cmd(
     fixture: str | None,
     path: str | None,

@@ -71,46 +71,33 @@ def pack_family(words) -> tuple[list[Packed], int]:
     return sorted({pack(w) for w in ws}), r
 
 
-def _check_pairs(S, r: int | None) -> tuple[Pair, ...]:
+def _checked_pairs(items, r: int | None) -> tuple[Pair, ...]:
+    """Sorted (position, content) pairs of positive integers, within r if given."""
     out = []
-    for item in S:
+    for item in items:
         p, c = item
         if not (isinstance(p, int) and isinstance(c, int) and p >= 1 and c >= 1):
             raise MalformedPairSetError(f"pair {item!r} is not two positive integers")
         if r is not None and (p > r or c > r):
             raise MalformedPairSetError(f"pair {item!r} is out of range for r={r}")
         out.append((p, c))
-    out.sort()
-    positions = [p for p, _ in out]
-    if len(set(positions)) != len(positions):
-        raise MalformedPairSetError("constraint set repeats a position")
-    return tuple(out)
-
-
-def _check_i_set(D, r: int | None) -> tuple[Pair, ...]:
-    pairs = []
-    for item in D:
-        p, c = item
-        if not (isinstance(p, int) and isinstance(c, int) and p >= 1 and c >= 1):
-            raise MalformedPairSetError(f"pair {item!r} is not two positive integers")
-        if r is not None and (p > r or c > r):
-            raise MalformedPairSetError(f"pair {item!r} is out of range for r={r}")
-        pairs.append((p, c))
-    if not pairs:
-        raise MalformedPairSetError("an i-set must be nonempty")
-    if len({p for p, _ in pairs}) != 1:
-        raise MalformedPairSetError("an i-set must keep to a single position")
-    if len({c for _, c in pairs}) != len(pairs):
-        raise MalformedPairSetError("an i-set must not repeat contents")
-    return tuple(sorted(pairs))
+    return tuple(sorted(out))
 
 
 def entails(S, D, Phi) -> bool:
     """Does every member satisfying all of S satisfy some pair of D?"""
     members = list(Phi)
     r = len(members[0]) if members else None
-    S = _check_pairs(S, r)
-    D = _check_i_set(D, r)
+    S = _checked_pairs(S, r)
+    if len({p for p, _ in S}) != len(S):
+        raise MalformedPairSetError("constraint set repeats a position")
+    D = _checked_pairs(D, r)
+    if not D:
+        raise MalformedPairSetError("an i-set must be nonempty")
+    if len({p for p, _ in D}) != 1:
+        raise MalformedPairSetError("an i-set must keep to a single position")
+    if len({c for _, c in D}) != len(D):
+        raise MalformedPairSetError("an i-set must not repeat contents")
     for mu in members:
         if all(mu[p - 1] == c for p, c in S):
             if not any(mu[p - 1] == c for p, c in D):

@@ -13,7 +13,6 @@ All functions are pure; DFAs and regex nodes are immutable.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -66,14 +65,6 @@ Regex = Empty | Epsilon | Letter | Union | Concat | Star
 
 EMPTY = Empty()
 EPSILON = Epsilon()
-
-
-def ast_size(r: Regex) -> int:
-    if isinstance(r, (Empty, Epsilon, Letter)):
-        return 1
-    if isinstance(r, Star):
-        return 1 + ast_size(r.inner)
-    return 1 + ast_size(r.left) + ast_size(r.right)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +463,7 @@ def complement(d: Dfa) -> Dfa:
     return minimize(out)
 
 
-def _product(d1: Dfa, d2: Dfa, keep) -> Dfa:
+def intersect(d1: Dfa, d2: Dfa) -> Dfa:
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {d1.alphabet} vs {d2.alphabet}"
@@ -492,17 +483,9 @@ def _product(d1: Dfa, d2: Dfa, keep) -> Dfa:
         rows.append(row)
     accepting = frozenset(
         i for i, (q1, q2) in enumerate(order)
-        if keep(q1 in d1.accepting, q2 in d2.accepting)
+        if q1 in d1.accepting and q2 in d2.accepting
     )
     return _minimize_tables(d1.alphabet, len(order), 0, accepting, rows)
-
-
-def intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda x, y: x and y)
-
-
-def union_dfa(d1: Dfa, d2: Dfa) -> Dfa:
-    return _product(d1, d2, lambda x, y: x or y)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -524,33 +507,3 @@ def words_up_to(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
     for length in range(max_len + 1):
         for w in itertools.product(tuple(alphabet), repeat=length):
             yield w
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def dfa_to_json(d: Dfa) -> str:
-    payload = {
-        "alphabet": list(d.alphabet),
-        "states": d.n_states,
-        "initial": d.initial,
-        "accepting": sorted(d.accepting),
-        "delta": [list(row) for row in d.delta],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def dfa_from_json(text: str) -> Dfa:
-    """Load a DFA; the result is re-minimized so invariants hold."""
-    payload = json.loads(text)
-    d = Dfa(
-        alphabet=tuple(payload["alphabet"]),
-        n_states=int(payload["states"]),
-        initial=int(payload["initial"]),
-        accepting=frozenset(int(q) for q in payload["accepting"]),
-        delta=tuple(tuple(int(t) for t in row) for row in payload["delta"]),
-    )
-    if len(d.delta) != d.n_states or any(len(row) != len(d.alphabet) for row in d.delta):
-        raise ValueError("transition table shape does not match header")
-    return minimize(d)

@@ -17,7 +17,6 @@ pi2 is the same check on the complement, delta2 the conjunction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -180,6 +179,17 @@ class OrderedMonoid:
     def leq(self, s: int, t: int) -> bool:
         return bool(self.leq_bits[s] >> t & 1)
 
+    def reversed(self) -> "OrderedMonoid":
+        """The same monoid, ordered so that s <= t exactly when t <= s in self."""
+        rows = self.leq_bits
+        return OrderedMonoid(
+            monoid=self.monoid,
+            leq_bits=tuple(
+                sum(1 << t for t, row in enumerate(rows) if row >> s & 1)
+                for s in range(len(rows))
+            ),
+        )
+
     def validate(self) -> None:
         """Reflexivity, antisymmetry, transitivity, compatibility."""
         m = self.monoid
@@ -271,7 +281,7 @@ class Recognition:
         flipped = frozenset(range(self.monoid.size)) - self.accepting
         return Recognition(
             dfa=complement(self.dfa),
-            ordered=syntactic_order(self.monoid, flipped),
+            ordered=self.ordered.reversed(),
             morphism=self.morphism,
             accepting=flipped,
         )
@@ -454,31 +464,12 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
 
 
 def up_word_accepts(rec: Recognition, x: int, w) -> bool:
-    """Does the product of a word over element symbols dominate x?
+    """Does the product of a monoid word (a reductions.MonoidWord) dominate x?
 
-    Words use the canonical element symbols "e0", "e1", ... (or any
-    object with an `elements` attribute of element indices). This makes
-    threshold problems over the monoid ordinary languages over a finite
-    alphabet.
+    This makes threshold problems over the monoid ordinary languages over
+    the finite alphabet of its elements.
     """
-    elements = getattr(w, "elements", None)
-    if elements is None:
-        elements = [parse_element_symbol(sym, rec.monoid.size) for sym in w]
-    product = rec.monoid.product(elements)
-    return rec.ordered.leq(x, product)
-
-
-def element_symbol(e: int) -> str:
-    return f"e{e}"
-
-
-def parse_element_symbol(sym: str, size: int) -> int:
-    if not (isinstance(sym, str) and sym.startswith("e") and sym[1:].isdigit()):
-        raise UnknownSymbolError(f"{sym!r} does not name a monoid element")
-    e = int(sym[1:])
-    if not 0 <= e < size:
-        raise UnknownSymbolError(f"{sym!r} is out of range for this monoid")
-    return e
+    return rec.ordered.leq(x, rec.monoid.product(w.elements))
 
 
 @dataclass(frozen=True)
@@ -557,46 +548,3 @@ def confirm_failing_pair(
         "equation_fails": separated,
         "valid_failing_pair": idempotent and in_relation and separated,
     }
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def monoid_to_json(rec: Recognition) -> str:
-    monoid = rec.monoid
-    payload = {
-        "size": monoid.size,
-        "identity": monoid.identity,
-        "table": [list(row) for row in monoid.table],
-        "generators": {
-            sym: rec.morphism.image(sym) for sym in rec.morphism.alphabet
-        },
-        "order": [
-            [bool(rec.ordered.leq_bits[s] >> t & 1) for t in range(monoid.size)]
-            for s in range(monoid.size)
-        ],
-        "accepting": sorted(rec.accepting),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def monoid_from_json(text: str) -> tuple[FiniteMonoid, dict[str, int], OrderedMonoid, frozenset[int]]:
-    """Load a monoid bundle, revalidating the algebraic laws."""
-    payload = json.loads(text)
-    table = tuple(tuple(int(v) for v in row) for row in payload["table"])
-    monoid = FiniteMonoid(size=int(payload["size"]), identity=int(payload["identity"]), table=table)
-    if monoid.size <= 256:
-        monoid.validate()
-    rows = [0] * monoid.size
-    for s, row in enumerate(payload["order"]):
-        bits = 0
-        for t, flag in enumerate(row):
-            if flag:
-                bits |= 1 << t
-        rows[s] = bits
-    ordered = OrderedMonoid(monoid=monoid, leq_bits=tuple(rows))
-    ordered.validate()
-    accepting = frozenset(int(e) for e in payload["accepting"])
-    generators = {str(k): int(v) for k, v in payload["generators"].items()}
-    return monoid, generators, ordered, accepting

@@ -7,7 +7,7 @@ with leading c's.
 
 The other direction starts from a failing equation pair (x, y) with a
 witness word and marked positions, factorizes the witness, and builds
-words over monoid-element symbols. Good words wire to products equal to
+words over monoid elements. Good words wire to products equal to
 x, bad words to x y x, so any device separating the two wired images is
 separating good from bad. Deleting the x-slot of every segment turns
 each x-carrying word into the same y-word, which is the subword step
@@ -16,7 +16,6 @@ the wiring leans on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .blockwords import A, B, block_count
@@ -55,39 +54,15 @@ def expansion(w: str) -> str:
 
 @dataclass(frozen=True)
 class MonoidWord:
-    """A word over the element symbols e0, e1, ... of a fixed monoid."""
+    """A word over the elements of a fixed monoid, as element indices."""
 
     elements: tuple[int, ...]
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(f"e{e}" for e in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __add__(self, other: "MonoidWord") -> "MonoidWord":
         return MonoidWord(self.elements + other.elements)
-
-
-def monoid_word_to_json(w: MonoidWord, monoid_ref: str) -> str:
-    """monoid_ref names the monoid the indices refer to, e.g. its regex."""
-    return json.dumps(
-        {"monoid_ref": monoid_ref, "elements": list(w.elements)},
-        sort_keys=True,
-        indent=2,
-    )
-
-
-def monoid_word_from_json(text: str) -> tuple[MonoidWord, str]:
-    payload = json.loads(text)
-    elements = payload["elements"]
-    ref = payload["monoid_ref"]
-    if not all(isinstance(e, int) and e >= 0 for e in elements):
-        raise PackError("elements must be nonnegative integers")
-    if not isinstance(ref, str):
-        raise PackError("monoid_ref must be a string")
-    return MonoidWord(tuple(elements)), ref
 
 
 # ---------------------------------------------------------------------------

@@ -269,8 +269,9 @@ def test_circuit_json_shape():
 
 
 def test_circuit_json_guards():
-    with pytest.raises(CircuitStructureError):
-        circuit_from_json('{"n": 1}')
+    for text in ('{"n": 1}', '{"n": 9', "[]"):
+        with pytest.raises(CircuitStructureError):
+            circuit_from_json(text)
     bad = json.loads(circuit_to_json(demo_accept_all(4)))
     bad["bottom"] = ["x"]
     with pytest.raises(CircuitStructureError):

@@ -5,8 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from sigma2lab import cli
 from sigma2lab.circuits import circuit_to_json, demo_accept_all
 from sigma2lab.cli import main
+from sigma2lab.errors import VerificationError
 
 K_PATTERN = "(ac*b+c)*"
 
@@ -362,3 +364,38 @@ def test_adversary_fanin_above_k_exits_two(runner):
         main, ["circuit", "adversary", "--fixture", "block-selector", "--k", "0"]
     )
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["analyze", "a", "--alphabet", "aa"], 2),
+        (["reduce", "wire", "--word", "abbbabbba", "--lang", "a", "--alphabet", "aa"], 2),
+        (["circuit", "eval", "--word", "a", "--fixture", "exact-good", "--n", "16"], 3),
+        (["circuit", "adversary", "--fixture", "exact-good", "--n", "16"], 3),
+        (["circuit", "eval", "--word", "abab", "--circuit", "{tmp}/missing.json"], 2),
+        (["circuit", "eval", "--word", "abab", "--circuit", "{tmp}/bad.json"], 2),
+        (["reduce", "expand", "--word", "abbbabbba"], 4),
+    ],
+)
+def test_errors_exit_with_their_code_and_one_stderr_line(
+    runner, tmp_path, monkeypatch, args, code
+):
+    (tmp_path / "bad.json").write_text('{"n": 9', encoding="utf-8")
+    if code == 4:
+
+        def failing_self_check(word):
+            raise VerificationError("expansion keeps the block count")
+
+        monkeypatch.setattr(cli, "expansion", failing_self_check)
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert result.exit_code == code, result.output
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.output
+    if code == 4:
+        assert result.stderr == "self-check failed: expansion keeps the block count\n"

@@ -32,17 +32,13 @@ from sigma2lab.languages import (
     Star,
     Union,
     accepts,
-    ast_size,
     compile,
     compile_pattern,
     complement,
-    dfa_from_json,
-    dfa_to_json,
     equivalent,
     intersect,
     minimize,
     parse_regex,
-    union_dfa,
     words_up_to,
 )
 
@@ -274,10 +270,8 @@ def test_intersect_and_union_membership():
     d1 = compile_pattern("(ab)*", AB)
     d2 = compile_pattern("a(a+b)*", AB)
     both = intersect(d1, d2)
-    either = union_dfa(d1, d2)
     for w in words_up_to(AB, 6):
         assert accepts(both, w) == (accepts(d1, w) and accepts(d2, w))
-        assert accepts(either, w) == (accepts(d1, w) or accepts(d2, w))
 
 
 def test_intersect_with_complement_is_empty(k_dfa):
@@ -288,49 +282,9 @@ def test_intersect_with_complement_is_empty(k_dfa):
 
 def test_alphabet_mismatch_rejected(k_dfa):
     other = compile_pattern("a*", AB)
-    for op in (intersect, union_dfa, equivalent):
+    for op in (intersect, equivalent):
         with pytest.raises(AlphabetMismatchError):
             op(k_dfa, other)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_dfa_json_roundtrip(k_dfa):
-    text = dfa_to_json(k_dfa)
-    back = dfa_from_json(text)
-    assert back == k_dfa
-    assert dfa_to_json(back) == text
-
-
-def test_dfa_json_keys(k_dfa):
-    import json
-
-    payload = json.loads(dfa_to_json(k_dfa))
-    assert set(payload) == {"alphabet", "states", "initial", "accepting", "delta"}
-    assert payload["states"] == len(payload["delta"])
-    assert all(len(row) == len(payload["alphabet"]) for row in payload["delta"])
-
-
-def test_dfa_json_loads_non_minimal_input():
-    # a 2-state automaton for (a+b)* with a redundant duplicate state
-    bloated = {
-        "alphabet": ["a", "b"],
-        "states": 2,
-        "initial": 0,
-        "accepting": [0, 1],
-        "delta": [[1, 1], [0, 0]],
-    }
-    import json
-
-    d = dfa_from_json(json.dumps(bloated))
-    assert d.n_states == 1
-
-
-def test_ast_size():
-    assert ast_size(parse_regex("(ac*b+c)*", ABC)) == 9
-    assert ast_size(EPSILON) == 1
 
 
 def test_words_up_to_shortlex():

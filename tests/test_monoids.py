@@ -5,7 +5,6 @@ enumeration of its three-state minimal DFA's transformations; orders
 and relations are compared against definitional brute force.
 """
 
-import json
 import random
 
 import pytest
@@ -29,11 +28,7 @@ from sigma2lab.monoids import (
     check_sigma2,
     classify,
     confirm_failing_pair,
-    element_symbol,
-    monoid_from_json,
-    monoid_to_json,
     neutral_letters,
-    parse_element_symbol,
     recognize,
     subword_relation,
     syntactic_order,
@@ -41,6 +36,7 @@ from sigma2lab.monoids import (
     up_word_accepts,
     verify_subword_witness,
 )
+from sigma2lab.reductions import MonoidWord
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -138,14 +134,16 @@ def test_morphism_eval_and_unknown_symbol(k_rec):
 )
 def test_order_matches_definitional_oracle(pattern, alphabet):
     rec = _rec(pattern, alphabet)
-    brute = definitional_order(rec.monoid, rec.accepting)
-    computed = {
-        (s, t)
-        for s in range(rec.monoid.size)
-        for t in range(rec.monoid.size)
-        if rec.ordered.leq(s, t)
-    }
-    assert computed == brute
+    # the complement's order is the language's order reversed
+    for side in (rec, rec.complemented()):
+        brute = definitional_order(side.monoid, side.accepting)
+        computed = {
+            (s, t)
+            for s in range(side.monoid.size)
+            for t in range(side.monoid.size)
+            if side.ordered.leq(s, t)
+        }
+        assert computed == brute
 
 
 def test_order_upper_set(k_rec):
@@ -381,34 +379,24 @@ def test_neutral_letters_even_length():
 
 
 # ---------------------------------------------------------------------------
-# up-words and element symbols
+# up-words
 
 
 def test_up_word_reflexive(k_rec):
     h = k_rec.morphism
     x = h.eval("ab")
-    assert up_word_accepts(k_rec, x, [element_symbol(x)])
+    assert up_word_accepts(k_rec, x, MonoidWord((x,)))
 
 
 def test_up_word_empty_word_identity(k_rec):
-    assert up_word_accepts(k_rec, k_rec.monoid.identity, [])
+    assert up_word_accepts(k_rec, k_rec.monoid.identity, MonoidWord(()))
 
 
 def test_up_word_contains_a_examples():
     rec = _rec("(a+b)*a(a+b)*", AB)
     one, z = rec.monoid.identity, rec.morphism.image("a")
-    sym = element_symbol
-    assert not up_word_accepts(rec, z, [sym(one), sym(one)])
-    assert up_word_accepts(rec, z, [sym(one), sym(z), sym(one)])
-
-
-def test_element_symbol_roundtrip():
-    assert element_symbol(3) == "e3"
-    assert parse_element_symbol("e3", 6) == 3
-    with pytest.raises(UnknownSymbolError):
-        parse_element_symbol("e9", 6)
-    with pytest.raises(UnknownSymbolError):
-        parse_element_symbol("x1", 6)
+    assert not up_word_accepts(rec, z, MonoidWord((one, one)))
+    assert up_word_accepts(rec, z, MonoidWord((one, z, one)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +422,16 @@ def test_omega_power_block_language(k_rec):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_monoid_json_roundtrip(k_rec):
-    text = monoid_to_json(k_rec)
-    payload = json.loads(text)
-    assert set(payload) == {
-        "size",
-        "identity",
-        "table",
-        "generators",
-        "order",
-        "accepting",
-    }
-    monoid, generators, ordered, accepting = monoid_from_json(text)
-    assert monoid == k_rec.monoid
-    assert generators == k_rec.morphism.generator
-    assert accepting == k_rec.accepting
-    assert ordered.leq_bits == k_rec.ordered.leq_bits
+# validation
 
 
 def test_monoid_json_rejects_broken_table(k_rec):
-    payload = json.loads(monoid_to_json(k_rec))
-    payload["table"][0][0] = 5  # identity law now fails
+    table = [list(row) for row in k_rec.monoid.table]
+    table[0][0] = 5  # identity law now fails
+    broken = FiniteMonoid(
+        size=k_rec.monoid.size,
+        identity=k_rec.monoid.identity,
+        table=tuple(tuple(row) for row in table),
+    )
     with pytest.raises(VerificationError):
-        monoid_from_json(json.dumps(payload))
+        broken.validate()

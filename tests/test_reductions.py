@@ -1,7 +1,5 @@
 """Expansion, witness factorization, wired monoid words, annotation."""
 
-import json
-
 import pytest
 
 from sigma2lab.blockwords import enumerate_bad, enumerate_good, pack
@@ -15,8 +13,6 @@ from sigma2lab.reductions import (
     delete_x_letters,
     expansion,
     factorize_subword_witness,
-    monoid_word_from_json,
-    monoid_word_to_json,
     p_annotate,
     t_bad,
     t_good,
@@ -131,7 +127,6 @@ def test_build_x_i_layout(fact_ab):
     w = build_x_i(fact_ab, 3, 2)
     assert w.elements == (0, 0, 0, 1, 0, 2, 0, 0)
     assert len(w) == fact_ab.t * 4
-    assert w.symbols[:4] == ("e0", "e0", "e0", "e1")
 
 
 def test_build_x_i_slot_guard(fact_ab):
@@ -229,29 +224,6 @@ def test_wiring_two_block_words(k_rec, fact_ab):
     y = k_rec.morphism.eval("a")
     assert m.product(wiring(fact_ab, "abba").elements) == x
     assert m.product(wiring(fact_ab, "abbb").elements) == m.mul(m.mul(x, y), x)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_monoid_word_json_roundtrip():
-    w = MonoidWord((0, 4, 1))
-    text = monoid_word_to_json(w, K_PATTERN)
-    payload = json.loads(text)
-    assert payload == {"monoid_ref": K_PATTERN, "elements": [0, 4, 1]}
-    back, ref = monoid_word_from_json(text)
-    assert back == w
-    assert ref == K_PATTERN
-
-
-def test_monoid_word_json_guards():
-    with pytest.raises(PackError):
-        monoid_word_from_json('{"monoid_ref": "m", "elements": [0, -1]}')
-    with pytest.raises(PackError):
-        monoid_word_from_json('{"monoid_ref": 3, "elements": [0]}')
-    with pytest.raises(KeyError):
-        monoid_word_from_json('{"elements": [0]}')
 
 
 # ---------------------------------------------------------------------------
