@@ -158,13 +158,14 @@ class AdversaryResult:
 def adversary(c: Sigma2Circuit, accepted, k: int, oracle, not_in_language) -> AdversaryResult:
     """Refute a small circuit by feeding it a limit of its own witnesses.
 
-    The oracle maps (family, k) to a non-member k-limit of the family,
-    or None when it cannot produce one; None is reported as an
-    inconclusive round, not an error. A word the oracle does return is
-    re-checked here: it must lie outside the language, be a k-limit of
-    the densest gate's family, and still be accepted by the circuit.
-    The last point is forced by the first two, so its failure means the
-    circuit or the checks are broken, not the inputs.
+    The oracle maps (family, k) to an object whose .word is a non-member
+    k-limit of the family, or to None when it cannot produce one; None
+    is reported as an inconclusive round, not an error. A word the
+    oracle does return is re-checked here: it must lie outside the
+    language, be a k-limit of the densest gate's family, and still be
+    accepted by the circuit. The last point is forced by the first two,
+    so its failure means the circuit or the checks are broken, not the
+    inputs.
     """
     fanin = max((len(g) for g in c.top), default=0)
     if fanin > k:
@@ -177,7 +178,7 @@ def adversary(c: Sigma2Circuit, accepted, k: int, oracle, not_in_language) -> Ad
         return AdversaryResult(
             status="hypothesis_not_met", gate=gate, family_size=len(family), word=None
         )
-    u = produced if isinstance(produced, str) else getattr(produced, "word")
+    u = produced.word
     if not not_in_language(u):
         raise VerificationError("oracle produced a word inside the language")
     if not is_k_limit(u, family, k):

@@ -41,12 +41,7 @@ from .circuits import (
     eval_and,
     eval_circuit,
 )
-from .entailment import (
-    bad_limit_via_entailment,
-    dichotomy_suite,
-    is_tangled,
-    tangled_encoding,
-)
+from .entailment import bad_limit_via_entailment, dichotomy_suite
 from .errors import (
     MonoidSizeError,
     RegexSyntaxError,
@@ -98,19 +93,33 @@ EXIT_CODES: dict[type, tuple[int, str]] = {
 }
 
 
+# click 8.2+ shows a bare group's help by raising this usage error, which
+# must reach click's own handler to print the help
+_NO_ARGS_IS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
 class _Main(click.Group):
-    """The top group: every failure below it leaves with one stderr line."""
+    """The top group: every failure in or below it leaves with one stderr line."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        return _one_line_errors(ctx, super().parse_args, ctx, args)
 
     def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            code, label, message = exc.exit_code, "usage error", exc.format_message()
-        except ToolkitError as exc:
-            code, label = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
-            message = str(exc)
-        click.echo(f"{label}: {message}", err=True)
-        ctx.exit(code)
+        return _one_line_errors(ctx, super().invoke, ctx)
+
+
+def _one_line_errors(ctx: click.Context, run, *args):
+    try:
+        return run(*args)
+    except _NO_ARGS_IS_HELP:
+        raise
+    except click.UsageError as exc:
+        code, label, message = exc.exit_code, "usage error", exc.format_message()
+    except ToolkitError as exc:
+        code, label = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        message = str(exc)
+    click.echo(f"{label}: {message}", err=True)
+    ctx.exit(code)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -244,13 +253,13 @@ def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -
 def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) -> None:
     """Decide tangledness; each verdict ships with its consequence."""
     words = _sampled(_parse_family(n, family), sample, seed)
-    report = is_tangled(words, k)
+    result = dichotomy_suite(words, k)
     payload: dict = {
-        "input": {"n": n, "k": k, "family": family, "family_size": report.family_size},
-        "verdict": report.tangled,
+        "input": {"n": n, "k": k, "family": family, "family_size": result.family_size},
+        "verdict": result.tangled,
     }
-    if report.tangled:
-        enc = tangled_encoding(words, k)
+    if result.tangled:
+        enc = result.encoding
         payload["witness"] = None
         payload["verification"] = {
             "distinct_codes": len(set(enc.codes.values())) == enc.family_size,
@@ -259,16 +268,15 @@ def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) 
             "passed": True,
         }
     else:
-        nu, i = report.witness
-        limit = bad_limit_via_entailment(words, k)
+        limit = result.limit
         payload["witness"] = {
-            "member": packed_to_str(nu),
-            "position": i,
-            "limit_word": limit.word if limit else None,
+            "member": packed_to_str(limit.source),
+            "position": limit.block,
+            "limit_word": limit.word,
         }
         checks = {
-            "not_good": limit is not None and not is_good(limit.word),
-            "k_limit": limit is not None and is_k_limit(limit.word, words, k),
+            "not_good": not is_good(limit.word),
+            "k_limit": is_k_limit(limit.word, words, k),
         }
         checks["passed"] = all(checks.values())
         payload["verification"] = checks

@@ -46,15 +46,10 @@ from .errors import (
 Pair = tuple[int, int]  # (position, content), both 1-indexed
 
 
-@dataclass(frozen=True)
-class LabConfig:
-    """Budgets for the exhaustive searches; raise consciously, not by default."""
-
-    max_r: int = 5
-    max_k: int = 2
-
-
-DEFAULT_CONFIG = LabConfig()
+# budgets for the exhaustive searches, like blockwords.K_LIMIT_WORK_LIMIT;
+# raise them consciously, not by default
+MAX_R = 5
+MAX_K = 2
 
 
 def pack_family(words) -> tuple[list[Packed], int]:
@@ -130,17 +125,16 @@ def _pairs_of(mu: Packed) -> tuple[Pair, ...]:
     return tuple((p, mu[p - 1]) for p in range(1, len(mu) + 1))
 
 
-def _guard(r: int, k: int, config: LabConfig) -> None:
+def _guard(r: int, k: int) -> None:
     if k < 1:
         raise DegeneracyError("k must be at least 1")
     if k > r - 1:
         raise DegeneracyError(
             f"k={k} needs k constrained positions besides i, but r-1={r - 1}"
         )
-    if r > config.max_r or k > config.max_k:
+    if r > MAX_R or k > MAX_K:
         raise SearchBudgetError(
-            f"r={r}, k={k} exceeds the configured budget "
-            f"(max_r={config.max_r}, max_k={config.max_k})"
+            f"r={r}, k={k} exceeds the search budget (MAX_R={MAX_R}, MAX_K={MAX_K})"
         )
 
 
@@ -149,48 +143,40 @@ class TangledReport:
     tangled: bool
     r: int
     k: int
-    family_size: int
+    members: tuple[Packed, ...] = field(repr=False)  # the packed family, sorted
     witness: tuple[Packed, int] | None
     certificates: dict = field(hash=False, repr=False, default_factory=dict)
 
+    @property
+    def family_size(self) -> int:
+        return len(self.members)
 
-def is_tangled(family, k: int, config: LabConfig = DEFAULT_CONFIG) -> TangledReport:
+
+def is_tangled(family, k: int) -> TangledReport:
     """Decide tangledness; the witness on failure is the lex-first (nu, i).
 
     Certificates for every (member, position) examined before the
     verdict are kept for inspection; on a tangled family that is all of
-    them.
+    them. The report carries the packed family, so either side of the
+    dichotomy can be built from it without packing or searching again.
     """
     Phi, r = pack_family(family)
-    _guard(r, k, config)
+    _guard(r, k)
+    members = tuple(Phi)
     certificates = {}
-    for mu in Phi:
+    for mu in members:
         pairs = _pairs_of(mu)
         for i in range(1, r + 1):
-            found = find_entailment(Phi, r, k, pairs, i)
+            found = find_entailment(members, r, k, pairs, i)
             if found is None:
-                return TangledReport(
-                    tangled=False,
-                    r=r,
-                    k=k,
-                    family_size=len(Phi),
-                    witness=(mu, i),
-                    certificates=certificates,
-                )
+                return TangledReport(False, r, k, members, (mu, i), certificates)
             S, D = found
             if (i, mu[i - 1]) not in D:
                 raise VerificationError(
                     "entailed i-set misses the member's own pair"
                 )
             certificates[(mu, i)] = found
-    return TangledReport(
-        tangled=True,
-        r=r,
-        k=k,
-        family_size=len(Phi),
-        witness=None,
-        certificates=certificates,
-    )
+    return TangledReport(True, r, k, members, None, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +191,24 @@ class EntailmentLimit:
     block: int
 
 
-def bad_limit_via_entailment(
-    family, k: int, config: LabConfig = DEFAULT_CONFIG
-) -> EntailmentLimit | None:
+def bad_limit_via_entailment(family, k: int) -> EntailmentLimit | None:
     """The bad k-limit a non-tangled family must contain; None if tangled.
 
     The returned word is checked exhaustively against the definition of
     a limit before it is handed out.
     """
-    report = is_tangled(family, k, config)
-    if report.tangled:
-        return None
+    report = is_tangled(family, k)
+    return None if report.tangled else _limit(report, family)
+
+
+def _limit(report: TangledReport, family) -> EntailmentLimit:
+    """Empty the witness member's block; the bad word must be a k-limit."""
     nu, i = report.witness
     mu = nu[: i - 1] + (None,) + nu[i:]
     u = unpack(mu)
     if not is_bad(u):
         raise VerificationError("emptying one block of a good word must yield a bad word")
-    if not is_k_limit(u, list(family), k):
+    if not is_k_limit(u, family, report.k):
         raise VerificationError("entailment failure did not produce a k-limit")
     return EntailmentLimit(word=u, packed=mu, source=nu, block=i)
 
@@ -299,6 +286,26 @@ class MemberCode:
     digits: tuple[int, ...]  # index into the sorted i-set, one per derived position
 
 
+def _derive(Phi, r: int, k: int, specified: dict, content) -> bool:
+    """Fill the smallest derivable position until all r are set; False on a stall.
+
+    Position i gets content(i, D), D being the sorted i-set that
+    find_entailment derives from the pairs specified so far. The
+    encoder's replay and the decoder share this loop, so they stay in
+    lockstep.
+    """
+    while len(specified) < r:
+        for i in range(1, r + 1):
+            if i not in specified:
+                found = find_entailment(Phi, r, k, specified.items(), i)
+                if found is not None:
+                    specified[i] = content(i, sorted(found[1]))
+                    break
+        else:
+            return False
+    return True
+
+
 def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
     """Compress one member of a tangled family.
 
@@ -331,24 +338,18 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
             "free positions exceed the k/(k+1) share the walk guarantees"
         )
 
-    specified = dict((p, mu[p - 1]) for p in sorted(free))
     digits: list[int] = []
-    while len(specified) < r:
-        for i in range(1, r + 1):
-            if i in specified:
-                continue
-            found = find_entailment(Phi, r, k, specified.items(), i)
-            if found is None:
-                continue
-            _, D = found
-            own = (i, mu[i - 1])
-            if own not in D:
-                raise VerificationError("derived i-set misses the member's own pair")
-            digits.append(sorted(D).index(own))
-            specified[i] = mu[i - 1]
-            break
-        else:
-            raise VerificationError("derivation stalled although the walk succeeded")
+
+    def own_content(i: int, D: list[Pair]) -> int:
+        own = (i, mu[i - 1])
+        if own not in D:
+            raise VerificationError("derived i-set misses the member's own pair")
+        digits.append(D.index(own))
+        return mu[i - 1]
+
+    specified = {p: mu[p - 1] for p in sorted(free)}
+    if not _derive(Phi, r, k, specified, own_content):
+        raise VerificationError("derivation stalled although the walk succeeded")
     return MemberCode(
         free_positions=tuple(sorted(free)),
         free_contents=tuple(mu[p - 1] for p in sorted(free)),
@@ -365,30 +366,20 @@ def decode_member(Phi, r: int, k: int, code: MemberCode) -> Packed:
     for p, c in zip(code.free_positions, code.free_contents):
         if not (1 <= p <= r and 1 <= c <= r):
             raise PackError(f"free entry ({p}, {c}) out of range for r={r}")
-    specified = dict(zip(code.free_positions, code.free_contents))
     stream = iter(code.digits)
-    consumed = 0
-    while len(specified) < r:
-        for i in range(1, r + 1):
-            if i in specified:
-                continue
-            found = find_entailment(Phi, r, k, specified.items(), i)
-            if found is None:
-                continue
-            _, D = found
-            try:
-                z = next(stream)
-            except StopIteration:
-                raise PackError("digit stream exhausted before all positions derived")
-            consumed += 1
-            ordered = sorted(D)
-            if not 0 <= z < len(ordered):
-                raise PackError(f"digit {z} out of range for an i-set of {len(ordered)}")
-            specified[i] = ordered[z][1]
-            break
-        else:
-            raise PackError("code does not derive all positions against this family")
-    if consumed != len(code.digits):
+
+    def coded_content(i: int, D: list[Pair]) -> int:
+        z = next(stream, None)
+        if z is None:
+            raise PackError("digit stream exhausted before all positions derived")
+        if not 0 <= z < len(D):
+            raise PackError(f"digit {z} out of range for an i-set of {len(D)}")
+        return D[z][1]
+
+    specified = dict(zip(code.free_positions, code.free_contents))
+    if not _derive(Phi, r, k, specified, coded_content):
+        raise PackError("code does not derive all positions against this family")
+    if next(stream, None) is not None:
         raise PackError("digit stream longer than the derivation")
     return tuple(specified[p] for p in range(1, r + 1))
 
@@ -408,22 +399,25 @@ class EncodingReport:
     codes: dict = field(hash=False, repr=False, default_factory=dict)
 
 
-def tangled_encoding(
-    family, k: int, config: LabConfig = DEFAULT_CONFIG
-) -> EncodingReport:
+def tangled_encoding(family, k: int) -> EncodingReport:
     """Encode every member of a tangled family and prove it round-trips.
 
     Raises NotTangledError if the family is not tangled. Injectivity,
     decodability, and the counting bound are all checked here rather
     than trusted.
     """
-    report = is_tangled(family, k, config)
+    report = is_tangled(family, k)
     if not report.tangled:
         nu, i = report.witness
         raise NotTangledError(
             f"family is not tangled: member {nu} has no certificate at position {i}"
         )
-    Phi, r = pack_family(family)
+    return _encoding(report)
+
+
+def _encoding(report: TangledReport) -> EncodingReport:
+    """Codes for every member of a family the report found tangled."""
+    Phi, r, k = report.members, report.r, report.k
     codes: dict[Packed, MemberCode] = {}
     for mu in Phi:
         code = encode_member(Phi, r, k, mu)
@@ -482,9 +476,7 @@ class DichotomyResult:
     encoding: EncodingReport | None = None
 
 
-def dichotomy_suite(
-    family, k: int, config: LabConfig = DEFAULT_CONFIG
-) -> DichotomyResult:
+def dichotomy_suite(family, k: int) -> DichotomyResult:
     """Run one family through the dichotomy, verifying whichever side holds.
 
     A tangled family must encode injectively within the counting bound;
@@ -492,21 +484,16 @@ def dichotomy_suite(
     also passes the packed-level conditions. Either failure raises
     VerificationError. Exactly one side applies to any family.
     """
-    report = is_tangled(family, k, config)
-    Phi, r = pack_family(family)
+    report = is_tangled(family, k)
+    r, size = report.r, report.family_size
     if report.tangled:
-        encoding = tangled_encoding(family, k, config)
         return DichotomyResult(
-            tangled=True, r=r, k=k, family_size=len(Phi), encoding=encoding
+            tangled=True, r=r, k=k, family_size=size, encoding=_encoding(report)
         )
-    limit = bad_limit_via_entailment(family, k, config)
-    if limit is None:
-        raise VerificationError("tangledness verdict flipped between runs")
-    conditions = check_packed_limit_conditions(limit.packed, limit.source, Phi, k)
+    limit = _limit(report, family)
+    conditions = check_packed_limit_conditions(limit.packed, limit.source, report.members, k)
     if not conditions.ok:
         raise VerificationError(
             f"limit conditions failed on a constructed limit: {conditions.detail}"
         )
-    return DichotomyResult(
-        tangled=False, r=r, k=k, family_size=len(Phi), limit=limit
-    )
+    return DichotomyResult(tangled=False, r=r, k=k, family_size=size, limit=limit)

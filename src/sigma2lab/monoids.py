@@ -17,7 +17,7 @@ pi2 is the same check on the complement, delta2 the conjunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -275,12 +275,14 @@ class Recognition:
         return self.morphism.eval(w) in self.accepting
 
     def complemented(self) -> "Recognition":
-        """Recognition of the complement: same monoid, reversed order."""
-        from .languages import complement
+        """Recognition of the complement: same monoid, reversed order.
 
+        Flipping the accepting states keeps the DFA minimal and canonical.
+        """
+        d = self.dfa
         flipped = frozenset(range(self.monoid.size)) - self.accepting
         return Recognition(
-            dfa=complement(self.dfa),
+            dfa=replace(d, accepting=frozenset(range(d.n_states)) - d.accepting),
             ordered=self.ordered.reversed(),
             morphism=self.morphism,
             accepting=flipped,

@@ -380,6 +380,8 @@ def test_adversary_fanin_above_k_exits_two(runner):
         (["circuit", "eval", "--word", "abab", "--circuit", "{tmp}/missing.json"], 2),
         (["circuit", "eval", "--word", "abab", "--circuit", "{tmp}/bad.json"], 2),
         (["reduce", "expand", "--word", "abbbabbba"], 4),
+        (["--bogus"], 2),
+        (["lab", "--bogus"], 2),
     ],
 )
 def test_errors_exit_with_their_code_and_one_stderr_line(
@@ -399,3 +401,17 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
     assert "Traceback" not in result.output
     if code == 4:
         assert result.stderr == "self-check failed: expansion keeps the block count\n"
+    if args == ["--bogus"]:
+        assert result.stderr == "usage error: No such option '--bogus'.\n"
+
+
+@pytest.mark.parametrize("group", ["lab", "reduce", "circuit"])
+def test_bare_group_prints_its_help_like_the_bare_top_group(runner, group):
+    top = runner.invoke(main, [])
+    result = runner.invoke(main, [group])
+    assert result.exit_code == top.exit_code
+    assert top.output.startswith("Usage: ")
+    assert result.output.startswith("Usage: ")
+    assert f" {group} [OPTIONS] COMMAND [ARGS]..." in result.output
+    assert main.commands[group].help.splitlines()[0] in result.output
+    assert "usage error" not in result.output

@@ -10,9 +10,9 @@ import random
 import pytest
 
 from oracles import brute_is_k_limit
+from sigma2lab import entailment
 from sigma2lab.blockwords import enumerate_good, is_bad, pack, unpack
 from sigma2lab.entailment import (
-    LabConfig,
     MemberCode,
     bad_limit_via_entailment,
     check_packed_limit_conditions,
@@ -153,7 +153,7 @@ def test_diagonal9_tangled():
     assert report.family_size == 3
 
 
-def test_tangled_guards():
+def test_tangled_guards(monkeypatch):
     with pytest.raises(DegeneracyError):
         is_tangled(GOOD4, 0)
     with pytest.raises(DegeneracyError, match="needs k constrained positions"):
@@ -161,7 +161,8 @@ def test_tangled_guards():
     wide = unpack((1, 1, 1, 1, 1, 1))
     with pytest.raises(SearchBudgetError):
         is_tangled([wide], 2)
-    report = is_tangled([wide], 2, config=LabConfig(max_r=6, max_k=2))
+    monkeypatch.setattr(entailment, "MAX_R", 6)
+    report = is_tangled([wide], 2)
     assert report.tangled
 
 
@@ -373,3 +374,26 @@ def test_dichotomy_random_sample():
         else:
             assert is_bad(result.limit.word)
             assert brute_is_k_limit(result.limit.word, fam, 1)
+
+
+@pytest.mark.parametrize(
+    "run, family",
+    [
+        (dichotomy_suite, ["abab", "baba"]),
+        (dichotomy_suite, GOOD9),
+        (tangled_encoding, ["abab", "baba"]),
+        (bad_limit_via_entailment, GOOD9),
+    ],
+)
+def test_each_entry_point_packs_and_searches_once(monkeypatch, run, family):
+    calls = {"pack_family": 0, "is_tangled": 0}
+    for name in calls:
+        original = getattr(entailment, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(entailment, name, counted)
+    assert run(family, 1) is not None
+    assert calls == {"pack_family": 1, "is_tangled": 1}

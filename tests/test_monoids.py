@@ -187,6 +187,7 @@ def test_recognition_membership_sampled(k_rec):
 
 def test_complemented_recognition(k_rec):
     co = k_rec.complemented()
+    assert co.dfa == complement(k_rec.dfa)
     assert co.monoid is k_rec.monoid
     assert co.morphism is k_rec.morphism
     assert co.accepting == frozenset(range(6)) - k_rec.accepting
