@@ -27,8 +27,8 @@ from math import comb
 from .blockwords import (
     Packed,
     block_count,
+    check_block_word,
     is_bad,
-    is_good,
     is_k_limit,
     pack,
     unpack,
@@ -58,12 +58,19 @@ def pack_family(words) -> tuple[list[Packed], int]:
     if not ws:
         raise PreconditionError("family is empty; block size undetermined")
     r = block_count(len(ws[0]))
+    members = set()
     for w in ws:
         if len(w) != len(ws[0]):
             raise PreconditionError(f"family member {w!r} has mismatched length")
-        if not is_good(w):
+        try:
+            packed = pack(w)
+        except PackError:
+            check_block_word(w)  # a letter outside {a, b} stays a PackError
+            packed = None  # two a's in one block
+        if packed is None or None in packed:
             raise PreconditionError(f"family member {w!r} is not good")
-    return sorted({pack(w) for w in ws}), r
+        members.add(packed)
+    return sorted(members), r
 
 
 def _checked_pairs(items, r: int | None) -> tuple[Pair, ...]:
@@ -93,6 +100,11 @@ def entails(S, D, Phi) -> bool:
         raise MalformedPairSetError("an i-set must keep to a single position")
     if len({c for _, c in D}) != len(D):
         raise MalformedPairSetError("an i-set must not repeat contents")
+    return _entailed(S, D, members)
+
+
+def _entailed(S, D, members) -> bool:
+    """The member scan behind entails, for pairs already checked."""
     for mu in members:
         if all(mu[p - 1] == c for p, c in S):
             if not any(mu[p - 1] == c for p, c in D):
@@ -108,7 +120,7 @@ def find_entailment(Phi, r: int, k: int, available, i: int):
     The search only consults Phi and its arguments, so an encoder that
     knows a member and a decoder that does not stay in lockstep.
     """
-    pool = sorted((p, c) for p, c in available if p != i)
+    pool = _checked_pairs(((p, c) for p, c in available if p != i), r)
     d_candidates = [
         tuple((i, c) for c in cs)
         for size in range(1, k + 1)
@@ -116,7 +128,7 @@ def find_entailment(Phi, r: int, k: int, available, i: int):
     ]
     for S in combinations(pool, k):
         for D in d_candidates:
-            if entails(S, D, Phi):
+            if _entailed(S, D, Phi):
                 return S, D
     return None
 
@@ -156,9 +168,10 @@ def is_tangled(family, k: int) -> TangledReport:
     """Decide tangledness; the witness on failure is the lex-first (nu, i).
 
     Certificates for every (member, position) examined before the
-    verdict are kept for inspection; on a tangled family that is all of
-    them. The report carries the packed family, so either side of the
-    dichotomy can be built from it without packing or searching again.
+    verdict are confirmed with entails and kept for inspection; on a
+    tangled family that is all of them. The report carries the packed
+    family, so either side of the dichotomy can be built from it without
+    packing or searching again.
     """
     Phi, r = pack_family(family)
     _guard(r, k)
@@ -171,9 +184,9 @@ def is_tangled(family, k: int) -> TangledReport:
             if found is None:
                 return TangledReport(False, r, k, members, (mu, i), certificates)
             S, D = found
-            if (i, mu[i - 1]) not in D:
+            if (i, mu[i - 1]) not in D or not entails(S, D, members):
                 raise VerificationError(
-                    "entailed i-set misses the member's own pair"
+                    "certificate does not entail the member's own pair"
                 )
             certificates[(mu, i)] = found
     return TangledReport(True, r, k, members, None, certificates)

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlphabetMismatchError,
+    PreconditionError,
     RegexSyntaxError,
     UnknownSymbolError,
 )
@@ -194,7 +195,9 @@ class Dfa:
 
     delta[q][i] is the successor of state q on alphabet[i]. Instances
     produced by this module are minimal with states numbered in
-    breadth-first order from state 0 (the initial state).
+    breadth-first order from state 0 (the initial state). A state, row
+    count or row length that does not fit n_states and the alphabet
+    raises PreconditionError.
     """
 
     alphabet: tuple[str, ...]
@@ -206,10 +209,20 @@ class Dfa:
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet):
             raise AlphabetMismatchError("alphabet has duplicate symbols")
+        n = self.n_states
+        if n < 1:
+            raise PreconditionError("a DFA needs at least one state")
+        if not 0 <= self.initial < n:
+            raise PreconditionError(f"initial state {self.initial} out of range")
+        if not all(0 <= q < n for q in self.accepting):
+            raise PreconditionError("accepting state out of range")
+        if len(self.delta) != n:
+            raise PreconditionError(f"{len(self.delta)} transition rows for {n} states")
         for row in self.delta:
-            for q in row:
-                if not 0 <= q < self.n_states:
-                    raise ValueError("transition target out of range")
+            if len(row) != len(self.alphabet):
+                raise PreconditionError("a transition row does not fit the alphabet")
+            if not all(0 <= q < n for q in row):
+                raise PreconditionError("transition target out of range")
 
     def symbol_index(self, sym: str) -> int:
         try:

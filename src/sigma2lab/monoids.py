@@ -2,11 +2,14 @@
 
 The transition monoid of a minimal DFA is computed by breadth-first
 closure over the generator transformations, so element 0 is always the
-identity and every element remembers a shortest representative word
-(ties broken lexicographically by the alphabet order). The syntactic
-order is "more accepting is larger": s <= t when every context (p, q)
-with p s q accepting also has p t q accepting. With that orientation the
-image of the language is an upper set.
+identity and every element keeps its state transformation and a
+shortest representative word (ties broken lexicographically by the
+alphabet order). The syntactic order is "more accepting is larger":
+s <= t when every context (p, q) with p s q accepting also has p t q
+accepting, so the image of the language is an upper set. It is read off
+the states ordered by inclusion of their residuals (the language each
+state accepts): s <= t iff r s <= r t for every state r (Pin, Syntactic
+semigroups, 1997).
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) is decided by one equation
@@ -18,6 +21,7 @@ pi2 is the same check on the complement, delta2 the conjunction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -90,6 +94,7 @@ class Morphism:
     monoid: FiniteMonoid
     generator: dict[str, int] = field(hash=False)
     representative: tuple[Word, ...]  # shortest word per element, lex-minimal
+    action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
 
     def image(self, sym: str) -> int:
         try:
@@ -103,11 +108,6 @@ class Morphism:
         )
 
 
-def is_minimal(d: Dfa) -> bool:
-    m = minimize(d)
-    return m.n_states == d.n_states
-
-
 def transition_monoid(
     d: Dfa, max_size: int = MONOID_SIZE_LIMIT
 ) -> tuple[FiniteMonoid, Morphism]:
@@ -118,7 +118,7 @@ def transition_monoid(
     NotMinimalError for non-minimal input (minimize first) and
     MonoidSizeError beyond max_size elements.
     """
-    if not is_minimal(d):
+    if minimize(d).n_states != d.n_states:
         raise NotMinimalError(
             "transition monoid is syntactic only for minimal DFAs; minimize first"
         )
@@ -158,6 +158,7 @@ def transition_monoid(
         monoid=monoid,
         generator={sym: index[gens[sym]] for sym in d.alphabet},
         representative=tuple(words),
+        action=tuple(elements),
     )
     return monoid, morphism
 
@@ -179,17 +180,6 @@ class OrderedMonoid:
     def leq(self, s: int, t: int) -> bool:
         return bool(self.leq_bits[s] >> t & 1)
 
-    def reversed(self) -> "OrderedMonoid":
-        """The same monoid, ordered so that s <= t exactly when t <= s in self."""
-        rows = self.leq_bits
-        return OrderedMonoid(
-            monoid=self.monoid,
-            leq_bits=tuple(
-                sum(1 << t for t, row in enumerate(rows) if row >> s & 1)
-                for s in range(len(rows))
-            ),
-        )
-
     def validate(self) -> None:
         """Reflexivity, antisymmetry, transitivity, compatibility."""
         m = self.monoid
@@ -210,48 +200,43 @@ class OrderedMonoid:
                         raise VerificationError("order not left compatible")
 
 
-def syntactic_order(monoid: FiniteMonoid, accepting: frozenset[int]) -> OrderedMonoid:
-    """Order by context acceptance: s <= t iff p s q in P implies p t q in P.
+def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
+    """Order the transition monoid of the minimal DFA d by its states.
 
-    Antisymmetry can only fail if the monoid is not the true syntactic
-    monoid of the language, i.e. the source DFA was not minimal; that is
-    reported rather than repaired.
+    q <= r when the residual of q (the language q accepts) is included in
+    that of r; the elements that lead each state into F stand for its
+    residual. Since every state is reachable, s <= t (every accepting
+    context of s accepts t) iff r s <= r t for every state r. Two states
+    with the same residual mean d was not minimal; that is reported
+    rather than repaired.
     """
-    m = monoid.size
-    table = monoid.table
-    acc_bit = [1 << q if q in accepting else 0 for q in range(m)]
+    n = d.n_states
+    action = morphism.action
+    # into_f[q]: bit t set iff element t leads state q into F
+    into_f = [0] * n
+    for t, image in enumerate(action):
+        for q, p in enumerate(image):
+            if p in d.accepting:
+                into_f[q] |= 1 << t
+    for q, r in combinations(range(n), 2):
+        if into_f[q] == into_f[r]:
+            raise AntisymmetryError(
+                f"states {q} and {r} accept the same language; "
+                "the source DFA was not minimal"
+            )
+    # up[q]: the states r with q <= r
+    up = [[r for r in range(n) if not into_f[q] & ~into_f[r]] for q in range(n)]
 
-    # right_mask[u]: bit q set iff u*q is accepting
-    right_mask = [0] * m
-    for u in range(m):
-        row = table[u]
-        bits = 0
-        for q in range(m):
-            if acc_bit[row[q]]:
-                bits |= 1 << q
-        right_mask[u] = bits
-
-    # sig[s][p] = right_mask[p*s]; s <= t iff sig[s][p] subset of sig[t][p] for all p
-    sig = [[right_mask[table[p][s]] for p in range(m)] for s in range(m)]
-
-    leq_rows = []
-    for s in range(m):
-        row_bits = 0
-        ss = sig[s]
-        for t in range(m):
-            st = sig[t]
-            if all(ss[p] & ~st[p] == 0 for p in range(m)):
-                row_bits |= 1 << t
-        leq_rows.append(row_bits)
-
-    for s in range(m):
-        for t in range(s + 1, m):
-            if leq_rows[s] >> t & 1 and leq_rows[t] >> s & 1:
-                raise AntisymmetryError(
-                    f"elements {s} and {t} are order equivalent; "
-                    "the source DFA was not minimal"
-                )
-    return OrderedMonoid(monoid=monoid, leq_bits=tuple(leq_rows))
+    rows = [-1] * len(action)
+    for r in range(n):
+        # lands[q]: bit t set iff element t sends state r to q
+        lands = [0] * n
+        for t, image in enumerate(action):
+            lands[image[r]] |= 1 << t
+        above = [sum(lands[p] for p in up[q]) for q in range(n)]
+        for s, image in enumerate(action):
+            rows[s] &= above[image[r]]
+    return OrderedMonoid(monoid=morphism.monoid, leq_bits=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -275,40 +260,30 @@ class Recognition:
         return self.morphism.eval(w) in self.accepting
 
     def complemented(self) -> "Recognition":
-        """Recognition of the complement: same monoid, reversed order.
+        """Recognition of the complement: same monoid, opposite order.
 
         Flipping the accepting states keeps the DFA minimal and canonical.
         """
         d = self.dfa
-        flipped = frozenset(range(self.monoid.size)) - self.accepting
+        flipped = replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
         return Recognition(
-            dfa=replace(d, accepting=frozenset(range(d.n_states)) - d.accepting),
-            ordered=self.ordered.reversed(),
+            dfa=flipped,
+            ordered=syntactic_order(flipped, self.morphism),
             morphism=self.morphism,
-            accepting=flipped,
+            accepting=frozenset(range(self.monoid.size)) - self.accepting,
         )
 
 
 def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     """Build the ordered syntactic monoid bundle for (the minimization of) d."""
     d = minimize(d)
-    monoid, morphism = transition_monoid(d, max_size=max_size)
-    # element e is accepting iff its transformation sends the initial state
-    # into F; running the representative word computes exactly that image
+    _, morphism = transition_monoid(d, max_size=max_size)
+    # element e is accepting iff it sends the initial state into F
     accepting = frozenset(
-        e
-        for e, w in enumerate(morphism.representative)
-        if _run(d, w) in d.accepting
+        e for e, image in enumerate(morphism.action) if image[d.initial] in d.accepting
     )
-    ordered = syntactic_order(monoid, accepting)
+    ordered = syntactic_order(d, morphism)
     return Recognition(dfa=d, ordered=ordered, morphism=morphism, accepting=accepting)
-
-
-def _run(d: Dfa, w: Word) -> int:
-    state = d.initial
-    for sym in w:
-        state = d.step(state, sym)
-    return state
 
 
 def neutral_letters(d) -> frozenset[str]:
@@ -346,9 +321,11 @@ class SubwordRelation:
 
     pairs: frozenset[tuple[int, int]]
     witness: dict[tuple[int, int], SubwordWitness] = field(hash=False)
+    companions: tuple[int, ...] = field(repr=False)  # bit y of [x]: (x, y) a pair
 
     def subwords_of(self, x: int) -> list[int]:
-        return sorted(y for (a, y) in self.pairs if a == x)
+        bits = self.companions[x]
+        return [y for y in range(bits.bit_length()) if bits >> y & 1]
 
 
 def subword_relation(morphism: Morphism) -> SubwordRelation:
@@ -380,7 +357,10 @@ def subword_relation(morphism: Morphism) -> SubwordRelation:
             if pair not in witness:
                 witness[pair] = SubwordWitness(word=w, positions=ps)
                 frontier.append((pair, w, ps))
-    return SubwordRelation(pairs=frozenset(witness), witness=witness)
+    companions = [0] * monoid.size
+    for x, y in witness:
+        companions[x] |= 1 << y
+    return SubwordRelation(frozenset(witness), witness, tuple(companions))
 
 
 def verify_subword_witness(

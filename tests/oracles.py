@@ -148,6 +148,44 @@ def definitional_order(monoid, accepting) -> set:
     return out
 
 
+def in_da(d) -> bool:
+    """Does the transition monoid of d satisfy (xy)^w x (xy)^w = (xy)^w?
+
+    That identity defines DA, and DA is Delta2 (Pin & Weil 1997; Therien
+    & Wilke 1998), so on a minimal DFA this decides delta2 without the
+    sigma2 equation. Transformations are tuples, closed under the
+    letters by plain search; s then t sends q to t[s[q]].
+    """
+    n = d.n_states
+
+    def then(s, t):
+        return tuple(t[q] for q in s)
+
+    letters = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        s = frontier.pop()
+        for g in letters:
+            t = then(s, g)
+            if t not in elements:
+                elements.add(t)
+                frontier.append(t)
+
+    def omega(s):
+        power = s
+        while then(power, power) != power:
+            power = then(power, s)
+        return power
+
+    for x in elements:
+        for y in elements:
+            e = omega(then(x, y))
+            if then(then(e, x), e) != e:
+                return False
+    return True
+
+
 def definitional_neutral(d, max_len: int):
     """Letters whose insertion anywhere never changes membership."""
     neutral = set()

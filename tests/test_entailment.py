@@ -60,7 +60,11 @@ def test_pack_family_guards():
     with pytest.raises(PreconditionError):
         pack_family(["abab", "abbbabbba"])
     with pytest.raises(PreconditionError):
-        pack_family(["aabb"])
+        pack_family(["aabb"])  # two a's in a block
+    with pytest.raises(PreconditionError):
+        pack_family(["abab", "bbab"])  # an empty block
+    with pytest.raises(PackError):
+        pack_family(["abab", "acab"])  # a letter outside {a, b}
 
 
 # ---------------------------------------------------------------------------

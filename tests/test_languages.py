@@ -19,6 +19,7 @@ from oracles import (
 )
 from sigma2lab.errors import (
     AlphabetMismatchError,
+    PreconditionError,
     RegexSyntaxError,
     UnknownSymbolError,
 )
@@ -220,6 +221,22 @@ def test_compile_matches_derivatives_property(seed):
 
 # ---------------------------------------------------------------------------
 # minimization and equivalence
+
+
+@pytest.mark.parametrize(
+    "n_states,initial,accepting,delta",
+    [
+        (2, 5, {1}, ((0, 1), (1, 1))),  # initial state out of range
+        (2, 0, {1}, ((0,), (1,))),  # rows shorter than the alphabet
+        (0, 0, set(), ()),  # no states
+        (1, 0, {7}, ((0, 0),)),  # accepting state out of range
+        (1, 0, {0}, ((0, 0), (0, 0))),  # an extra row
+        (2, 0, {1}, ((0, 2), (1, 1))),  # transition target out of range
+    ],
+)
+def test_malformed_dfa_rejected(n_states, initial, accepting, delta):
+    with pytest.raises(PreconditionError):
+        Dfa(AB, n_states, initial, frozenset(accepting), delta)
 
 
 def _corpus(count=60, seed=1):

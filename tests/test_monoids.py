@@ -13,6 +13,8 @@ from oracles import (
     brute_subword_pairs,
     definitional_neutral,
     definitional_order,
+    in_da,
+    moore_state_count,
     words_up_to_oracle,
 )
 from sigma2lab.errors import (
@@ -25,8 +27,10 @@ from sigma2lab.errors import (
 from sigma2lab.languages import Dfa, accepts, compile_pattern, complement
 from sigma2lab.monoids import (
     FiniteMonoid,
+    Morphism,
     check_sigma2,
     classify,
+    classify_recognition,
     confirm_failing_pair,
     neutral_letters,
     recognize,
@@ -41,9 +45,40 @@ from sigma2lab.reductions import MonoidWord
 AB = ("a", "b")
 ABC = ("a", "b", "c")
 
+# two redundant states recognizing (a+b)*
+BLOATED = Dfa(
+    alphabet=AB,
+    n_states=2,
+    initial=0,
+    accepting=frozenset({0, 1}),
+    delta=((1, 1), (0, 0)),
+)
+
 
 def _rec(pattern, alphabet):
     return recognize(compile_pattern(pattern, alphabet))
+
+
+def _random_minimal_recognitions(seed, count, max_states, max_size):
+    """Seeded random minimal DFAs over 2-3 letters with their recognitions.
+
+    DFAs whose monoid exceeds max_size elements are skipped.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, max_states)
+        alphabet = ABC[: rng.randint(2, 3)]
+        delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+        d = Dfa(alphabet, n, 0, accepting, delta)
+        if moore_state_count(d) != n:
+            continue
+        try:
+            out.append((d, recognize(d, max_size=max_size)))
+        except MonoidSizeError:
+            continue
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +128,8 @@ def test_monoid_laws_validate(k_rec):
 
 
 def test_transition_monoid_requires_minimal_dfa():
-    # two redundant states recognizing (a+b)*
-    bloated = Dfa(
-        alphabet=AB,
-        n_states=2,
-        initial=0,
-        accepting=frozenset({0, 1}),
-        delta=((1, 1), (0, 0)),
-    )
     with pytest.raises(NotMinimalError):
-        transition_monoid(bloated)
+        transition_monoid(BLOATED)
 
 
 def test_monoid_size_guard(k_dfa):
@@ -171,11 +198,29 @@ def test_block_language_order_refuses_xyx(k_rec):
     assert not accepts(k_rec.dfa, "ababbaabab")
 
 
+def test_random_orders_match_definitional_oracle():
+    for _, rec in _random_minimal_recognitions(3, 40, 4, 20):
+        for side in (rec, rec.complemented()):
+            brute = definitional_order(side.monoid, side.accepting)
+            m = side.monoid.size
+            computed = {
+                (s, t) for s in range(m) for t in range(m) if side.ordered.leq(s, t)
+            }
+            assert computed == brute
+
+
 def test_antisymmetry_violation_detected():
-    # two elements that no accepting context distinguishes (P empty)
-    flat = FiniteMonoid(size=2, identity=0, table=((0, 1), (1, 1)))
+    # both states of BLOATED accept (a+b)*; each letter swaps them
+    swap = FiniteMonoid(size=2, identity=0, table=((0, 1), (1, 0)))
+    morphism = Morphism(
+        alphabet=AB,
+        monoid=swap,
+        generator={"a": 1, "b": 1},
+        representative=((), ("a",)),
+        action=((0, 1), (1, 0)),
+    )
     with pytest.raises(AntisymmetryError):
-        syntactic_order(flat, frozenset())
+        syntactic_order(BLOATED, morphism)
 
 
 def test_recognition_membership_sampled(k_rec):
@@ -350,6 +395,18 @@ def test_classify_delta2_is_conjunction():
             continue
         report = classify(d)
         assert report.delta2 == (report.sigma2.holds and report.pi2.holds)
+
+
+def test_delta2_is_membership_in_da(k_dfa):
+    # Delta2 = DA, checked without the sigma2 equation. Random DFAs are
+    # rarely in exactly one of sigma2 and pi2; K and its complement are.
+    fixed = [(d, recognize(d)) for d in (k_dfa, complement(k_dfa))]
+    verdicts = set()
+    for d, rec in fixed + _random_minimal_recognitions(5, 60, 6, 100):
+        report = classify_recognition(rec)
+        assert report.delta2 == in_da(d), d
+        verdicts.add((report.sigma2.holds, report.pi2.holds))
+    assert len(verdicts) == 4
 
 
 def test_classify_pi2_is_sigma2_of_complement(k_dfa):
