@@ -15,7 +15,9 @@ Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) is decided by one equation
 schema over the ordered monoid: for every idempotent x and every y that
 the monoid-level subword relation pairs with x, x <= x y x must hold.
-pi2 is the same check on the complement, delta2 the conjunction.
+pi2 is the same check on the complement, delta2 the conjunction. The
+relation is kept as one bitset of companions per element; a witness
+word is built only for the pair a failing verdict reports.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
     AntisymmetryError,
     MonoidSizeError,
     NotMinimalError,
+    PreconditionError,
     UnknownSymbolError,
-    VerificationError,
 )
 from .languages import Dfa, Word, as_word, minimize
 
@@ -62,28 +64,6 @@ class FiniteMonoid:
 
     def idempotents(self) -> list[int]:
         return [e for e in range(self.size) if self.table[e][e] == e]
-
-    def omega_power(self, x: int) -> int:
-        """The unique idempotent among the powers of x."""
-        power = x
-        for _ in range(self.size + 1):
-            if self.table[power][power] == power:
-                return power
-            power = self.table[power][x]
-        raise VerificationError("no idempotent power found; table is not a monoid")
-
-    def validate(self) -> None:
-        """Full associativity and identity check. Cubic; test-sized tables only."""
-        e = self.identity
-        for i in range(self.size):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise VerificationError("identity law fails")
-        for i in range(self.size):
-            for j in range(self.size):
-                ij = self.table[i][j]
-                for k in range(self.size):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise VerificationError("associativity fails")
 
 
 @dataclass(frozen=True)
@@ -179,25 +159,6 @@ class OrderedMonoid:
 
     def leq(self, s: int, t: int) -> bool:
         return bool(self.leq_bits[s] >> t & 1)
-
-    def validate(self) -> None:
-        """Reflexivity, antisymmetry, transitivity, compatibility."""
-        m = self.monoid
-        for s in range(m.size):
-            if not self.leq(s, s):
-                raise VerificationError("order not reflexive")
-            for t in range(m.size):
-                if not self.leq(s, t):
-                    continue
-                if s != t and self.leq(t, s):
-                    raise VerificationError("order not antisymmetric")
-                if self.leq_bits[t] & ~self.leq_bits[s]:
-                    raise VerificationError("order not transitive")
-                for u in range(m.size):
-                    if not self.leq(m.mul(s, u), m.mul(t, u)):
-                        raise VerificationError("order not right compatible")
-                    if not self.leq(m.mul(u, s), m.mul(u, t)):
-                        raise VerificationError("order not left compatible")
 
 
 def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
@@ -312,55 +273,89 @@ class SubwordWitness:
 
 @dataclass(frozen=True)
 class SubwordRelation:
-    """All pairs (h(w), h(v)) with v a scattered subword of w.
+    """All pairs (h(w), h(v)) with v a scattered subword of w, as bitsets.
 
-    Computed as the submonoid of M x M generated by (h(a), h(a)) and
-    (h(a), 1) for every letter a. Each pair keeps a shortest witness,
-    found breadth-first with candidates ordered by (word, positions).
+    companions[x] has bit y set when (x, y) is a pair. Witnesses are not
+    stored; subword_witness builds one for a given pair.
     """
 
-    pairs: frozenset[tuple[int, int]]
-    witness: dict[tuple[int, int], SubwordWitness] = field(hash=False)
-    companions: tuple[int, ...] = field(repr=False)  # bit y of [x]: (x, y) a pair
+    companions: tuple[int, ...]
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The relation as a set of pairs, derived from the bitsets."""
+        return frozenset(
+            (x, y) for x in range(len(self.companions)) for y in self.subwords_of(x)
+        )
 
     def subwords_of(self, x: int) -> list[int]:
-        bits = self.companions[x]
-        return [y for y in range(bits.bit_length()) if bits >> y & 1]
+        return _members(self.companions[x])
+
+
+def _members(bits: int) -> list[int]:
+    """The indices of the set bits, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def subword_relation(morphism: Morphism) -> SubwordRelation:
-    monoid = morphism.monoid
-    table = monoid.table
-    ident = monoid.identity
-    alphabet = morphism.alphabet
+    """The submonoid of M x M generated by (h(a), h(a)) and (h(a), 1).
 
-    start = (ident, ident)
-    witness: dict[tuple[int, int], SubwordWitness] = {
-        start: SubwordWitness(word=(), positions=())
-    }
-    frontier: list[tuple[tuple[int, int], Word, tuple[int, ...]]] = [
-        (start, (), ())
-    ]
-    while frontier:
-        candidates: list[tuple[Word, tuple[int, ...], tuple[int, int]]] = []
-        for (x, y), w, ps in frontier:
-            pos = len(w) + 1
-            for sym in alphabet:
+    A worklist closes {(1, 1)} under right multiplication by the
+    generator pairs, one bitset of companions per x; only the bits new
+    to x since it was last processed are pushed on.
+    """
+    table = morphism.monoid.table
+    gens = set(morphism.generator.values())
+    one = morphism.monoid.identity
+    companions = [0] * morphism.monoid.size
+    companions[one] = 1 << one
+    new = {one: 1 << one}  # x -> its companions not yet pushed on
+    while new:
+        x, delta = new.popitem()
+        ys = _members(delta)
+        for g in gens:
+            # (x, y)(g, 1) = (xg, y) and (x, y)(g, g) = (xg, yg)
+            xg = table[x][g]
+            grown = delta
+            for y in ys:
+                grown |= 1 << table[y][g]
+            grown &= ~companions[xg]
+            if grown:
+                companions[xg] |= grown
+                new[xg] = new.get(xg, 0) | grown
+    return SubwordRelation(tuple(companions))
+
+
+def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
+    """A shortest witness of pair, found breadth-first.
+
+    Each level holds the candidates (word, positions, pair reached) of
+    one length, sorted by (word, positions); the first candidate to reach
+    a pair claims it, and only claimed pairs grow into the next level.
+    Raises PreconditionError when pair is not in the relation.
+    """
+    table = morphism.monoid.table
+    one = morphism.monoid.identity
+    level = [((), (), (one, one))]
+    claimed = set()
+    while level:
+        level.sort()  # no two candidates share (word, positions)
+        grown = []
+        for w, ps, found in level:
+            if found == pair:
+                return SubwordWitness(word=w, positions=ps)
+            if found in claimed:
+                continue
+            claimed.add(found)
+            x, y = found
+            for sym in morphism.alphabet:
                 g = morphism.image(sym)
                 nw = w + (sym,)
                 # skipping the new letter keeps the smaller marking
-                candidates.append(((nw), ps, (table[x][g], y)))
-                candidates.append(((nw), ps + (pos,), (table[x][g], table[y][g])))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        frontier = []
-        for w, ps, pair in candidates:
-            if pair not in witness:
-                witness[pair] = SubwordWitness(word=w, positions=ps)
-                frontier.append((pair, w, ps))
-    companions = [0] * monoid.size
-    for x, y in witness:
-        companions[x] |= 1 << y
-    return SubwordRelation(frozenset(witness), witness, tuple(companions))
+                grown.append((nw, ps, (table[x][g], y)))
+                grown.append((nw, ps + (len(nw),), (table[x][g], table[y][g])))
+        level = grown
+    raise PreconditionError(f"pair {pair} is not in the subword relation")
 
 
 def verify_subword_witness(
@@ -439,7 +434,7 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
                     y_word=rep[y],
                     p_word=rep[p],
                     q_word=rep[q],
-                    pair_witness=sw.witness[(x, y)],
+                    pair_witness=subword_witness(rec.morphism, (x, y)),
                 ),
             )
     return EquationVerdict(holds=True)
@@ -494,7 +489,7 @@ def classify_recognition(rec: Recognition, description: str = "") -> ClassReport
         alphabet=rec.morphism.alphabet,
         monoid_size=rec.monoid.size,
         idempotent_count=len(rec.monoid.idempotents()),
-        subword_pair_count=len(sw.pairs),
+        subword_pair_count=sum(bits.bit_count() for bits in sw.companions),
         neutral=tuple(sorted(neutral_letters(rec))),
         sigma2=sigma2,
         pi2=pi2,
@@ -520,7 +515,7 @@ def confirm_failing_pair(
     table = rec.monoid.table
     xyx = table[table[x][y]][x]
     idempotent = table[x][x] == x
-    in_relation = (x, y) in sw.pairs
+    in_relation = bool(sw.companions[x] >> y & 1)
     separated = not rec.ordered.leq(x, xyx)
     return {
         "x": x,

@@ -4,6 +4,9 @@ Everything here is deliberately written with different algorithms than
 the package: regex matching by derivatives instead of automata, order
 and subword relations by brute force over words and contexts, Moore
 refinement instead of Hopcroft, limits by scanning every position set.
+The subword relation is also built by the breadth-first search that
+keeps a witness for every pair, and sigma2 is also decided by the
+content form of its identity, which needs no subword relation.
 Slow is fine; these run at desk scale only.
 """
 
@@ -132,6 +135,69 @@ def brute_subword_pairs(morphism, max_len: int):
     return pairs
 
 
+def bfs_subword_relation(morphism):
+    """The subword relation with a shortest witness per pair, all at once.
+
+    Breadth-first over word lengths: each level's candidates are sorted
+    by (word, positions) and the first to reach a pair claims it. Returns
+    the set of pairs and a dict from pair to (word, positions).
+    """
+    table = morphism.monoid.table
+    ident = morphism.monoid.identity
+    start = (ident, ident)
+    witness = {start: ((), ())}
+    frontier = [(start, (), ())]
+    while frontier:
+        candidates = []
+        for (x, y), w, ps in frontier:
+            pos = len(w) + 1
+            for sym in morphism.alphabet:
+                g = morphism.image(sym)
+                nw = w + (sym,)
+                candidates.append((nw, ps, (table[x][g], y)))
+                candidates.append((nw, ps + (pos,), (table[x][g], table[y][g])))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        frontier = []
+        for w, ps, pair in candidates:
+            if pair not in witness:
+                witness[pair] = (w, ps)
+                frontier.append((pair, w, ps))
+    return set(witness), witness
+
+
+def monoid_law_failure(monoid):
+    """The first monoid law the table breaks, or None. Cubic."""
+    e, size, table = monoid.identity, monoid.size, monoid.table
+    if any(table[e][i] != i or table[i][e] != i for i in range(size)):
+        return "identity law fails"
+    for i, j, k in product(range(size), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return "associativity fails"
+    return None
+
+
+def order_law_failure(ordered):
+    """The first partial-order or compatibility law broken, or None."""
+    m = ordered.monoid
+    leq = ordered.leq
+    for s in range(m.size):
+        if not leq(s, s):
+            return "order not reflexive"
+        for t in range(m.size):
+            if not leq(s, t):
+                continue
+            if s != t and leq(t, s):
+                return "order not antisymmetric"
+            if any(leq(t, u) and not leq(s, u) for u in range(m.size)):
+                return "order not transitive"
+            for u in range(m.size):
+                if not leq(m.mul(s, u), m.mul(t, u)):
+                    return "order not right compatible"
+                if not leq(m.mul(u, s), m.mul(u, t)):
+                    return "order not left compatible"
+    return None
+
+
 def definitional_order(monoid, accepting) -> set:
     """s <= t iff every accepting context of s also accepts t."""
     m = monoid.size
@@ -182,6 +248,65 @@ def in_da(d) -> bool:
         for y in elements:
             e = omega(then(x, y))
             if then(then(e, x), e) != e:
+                return False
+    return True
+
+
+def content_sigma2(d) -> bool:
+    """Does x^w <= x^w y x^w hold whenever alph(y) is inside alph(x)?
+
+    The content form of the sigma2 identity (Pin & Weil 1997), decided on
+    the DFA d without the subword relation. Elements are pairs (state
+    transformation, content) closed from (letter, {letter}); s <= t when,
+    from every reachable state r, the language of s(r) is included in
+    that of t(r), found by searching the product of d with itself.
+    """
+    n = d.n_states
+
+    def then(s, t):
+        return tuple(t[q] for q in s)
+
+    letters = [
+        (tuple(row[a] for row in d.delta), frozenset({sym}))
+        for a, sym in enumerate(d.alphabet)
+    ]
+    start = (tuple(range(n)), frozenset())
+    elements = {start}
+    frontier = [start]
+    while frontier:
+        s, content = frontier.pop()
+        for g, letter in letters:
+            t = (then(s, g), content | letter)
+            if t not in elements:
+                elements.add(t)
+                frontier.append(t)
+
+    def included(p, q):
+        seen = {(p, q)}
+        stack = [(p, q)]
+        while stack:
+            p, q = stack.pop()
+            if p in d.accepting and q not in d.accepting:
+                return False
+            for row_p, row_q in zip(d.delta[p], d.delta[q]):
+                if (row_p, row_q) not in seen:
+                    seen.add((row_p, row_q))
+                    stack.append((row_p, row_q))
+        return True
+
+    inclusion = {(p, q): included(p, q) for p in range(n) for q in range(n)}
+    reachable = {s[d.initial] for s, _ in elements}
+
+    def omega(s):
+        power = s
+        while then(power, power) != power:
+            power = then(power, s)
+        return power
+
+    for e, content in {(omega(x), content) for x, content in elements}:
+        for y in {y for y, c in elements if c <= content}:
+            eye = then(then(e, y), e)
+            if not all(inclusion[e[r], eye[r]] for r in reachable):
                 return False
     return True
 

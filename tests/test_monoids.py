@@ -6,28 +6,34 @@ and relations are compared against definitional brute force.
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from oracles import (
+    bfs_subword_relation,
     brute_subword_pairs,
+    content_sigma2,
     definitional_neutral,
     definitional_order,
     in_da,
+    monoid_law_failure,
     moore_state_count,
+    order_law_failure,
     words_up_to_oracle,
 )
 from sigma2lab.errors import (
     AntisymmetryError,
     MonoidSizeError,
     NotMinimalError,
+    PreconditionError,
     UnknownSymbolError,
-    VerificationError,
 )
 from sigma2lab.languages import Dfa, accepts, compile_pattern, complement
 from sigma2lab.monoids import (
     FiniteMonoid,
     Morphism,
+    SubwordRelation,
     check_sigma2,
     classify,
     classify_recognition,
@@ -35,6 +41,7 @@ from sigma2lab.monoids import (
     neutral_letters,
     recognize,
     subword_relation,
+    subword_witness,
     syntactic_order,
     transition_monoid,
     up_word_accepts,
@@ -123,8 +130,8 @@ def test_block_language_monoid_frozen(k_rec):
 
 
 def test_monoid_laws_validate(k_rec):
-    k_rec.monoid.validate()
-    k_rec.ordered.validate()
+    assert monoid_law_failure(k_rec.monoid) is None
+    assert order_law_failure(k_rec.ordered) is None
 
 
 def test_transition_monoid_requires_minimal_dfa():
@@ -259,7 +266,7 @@ def test_block_language_subword_relation_frozen(k_rec, k_sw):
     h = k_rec.morphism
     pair = (h.eval("abab"), h.eval("ba"))
     assert pair in k_sw.pairs
-    wit = k_sw.witness[pair]
+    wit = subword_witness(h, pair)
     assert wit.word == ("a", "b", "a", "b")
     assert wit.positions == (2, 3)
 
@@ -285,13 +292,14 @@ def test_even_length_subword_relation_brute():
 
 def test_every_witness_verifies(k_rec, k_sw):
     for pair in k_sw.pairs:
-        assert verify_subword_witness(k_rec.morphism, pair, k_sw.witness[pair])
+        wit = subword_witness(k_rec.morphism, pair)
+        assert verify_subword_witness(k_rec.morphism, pair, wit)
 
 
 def test_witness_verification_rejects_wrong_claims(k_rec, k_sw):
     h = k_rec.morphism
     pair = (h.eval("abab"), h.eval("ba"))
-    wit = k_sw.witness[pair]
+    wit = subword_witness(h, pair)
     assert not verify_subword_witness(h, (pair[0], h.eval("ab")), wit)
 
 
@@ -306,6 +314,51 @@ def test_subwords_of_is_sorted(k_sw):
     for x in range(6):
         ys = k_sw.subwords_of(x)
         assert ys == sorted(ys)
+
+
+def test_relation_stores_only_companions(k_sw):
+    assert [f.name for f in fields(SubwordRelation)] == ["companions"]
+    assert sum(bits.bit_count() for bits in k_sw.companions) == len(k_sw.pairs)
+
+
+def test_witness_refused_outside_the_relation():
+    rec = _rec("(a+b)*a(a+b)*", AB)
+    with pytest.raises(PreconditionError):
+        subword_witness(rec.morphism, (rec.monoid.identity, rec.morphism.image("a")))
+
+
+def _full_transformation_dfa(n):
+    """A cycle, a transposition and a merge on n states generate T_n."""
+    cycle = [(q + 1) % n for q in range(n)]
+    swap = [1, 0] + list(range(2, n))
+    merge = [0, 0] + list(range(2, n))
+    delta = tuple((cycle[q], swap[q], merge[q]) for q in range(n))
+    return Dfa(ABC, n, 0, frozenset({0}), delta)
+
+
+def test_relation_and_witnesses_match_the_bfs_oracle():
+    # Each subword_witness call searches anew, so every pair is checked on
+    # the three small named languages; on T3 and the random DFAs, a seeded
+    # sample plus the last pair claimed, which takes the longest search.
+    named = [
+        _rec("(ac*b+c)*", ABC),
+        _rec("(a(ac*b+c)*b+c)*", ABC),
+        _rec("(a+b)*a(a+b)(a+b)(a+b)", AB),
+    ]
+    sampled = [recognize(_full_transformation_dfa(3))] + [
+        rec for _, rec in _random_minimal_recognitions(6, 40, 5, 100)
+    ]
+    rng = random.Random(6)
+    cases = [(rec, False) for rec in named] + [(rec, True) for rec in sampled]
+    for rec, sample in cases:
+        pairs, witness = bfs_subword_relation(rec.morphism)
+        assert subword_relation(rec.morphism).pairs == pairs
+        claimed = list(witness)
+        if sample:
+            claimed = rng.sample(claimed, min(3, len(claimed))) + claimed[-1:]
+        for pair in claimed:
+            wit = subword_witness(rec.morphism, pair)
+            assert (wit.word, wit.positions) == witness[pair]
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +470,53 @@ def test_classify_pi2_is_sigma2_of_complement(k_dfa):
 
 
 # ---------------------------------------------------------------------------
+# sigma2 verdicts against oracles that do not use the subword relation
+
+
+def test_content_form_oracle_agrees_with_the_equation_check():
+    fixed = [
+        compile_pattern(pattern, ABC)
+        for pattern in ["(ac*b+c)*", "(ab)*", "a*b*", "(a+b)*a(a+b)(a+b)(a+b)"]
+    ]
+    recs = [recognize(d) for d in fixed] + [
+        rec for _, rec in _random_minimal_recognitions(12, 40, 5, 100)
+    ]
+    for rec in recs:
+        sw = subword_relation(rec.morphism)
+        for side in (rec, rec.complemented()):
+            assert content_sigma2(side.dfa) == check_sigma2(side, sw).holds, side.dfa
+
+
+def _piecewise_union(rng):
+    """A regex for a union of products A0* a1 A1* ... ak Ak* over {a, b, c}."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for i in range(2 * rng.randint(0, 3) + 1):
+            if i % 2:
+                factors.append(rng.choice(ABC))
+            else:
+                subset = [sym for sym in ABC if rng.random() < 0.5]
+                factors.append("(" + "+".join(subset) + ")*" if subset else "")
+        terms.append("".join(factors) or "()")
+    return "+".join(terms)
+
+
+def test_piecewise_unions_are_sigma2_and_their_complements_pi2():
+    # a finite union of A0* a1 A1* ... ak Ak* is in sigma2 (Arfi; Pin &
+    # Weil 1997), so its complement is in pi2
+    rng = random.Random(2)
+    verdicts = set()
+    for _ in range(60):
+        d = compile_pattern(_piecewise_union(rng), ABC)
+        report = classify(d)
+        assert report.sigma2.holds, d
+        assert classify(complement(d)).pi2.holds, d
+        verdicts.add(report.pi2.holds)
+    assert False in verdicts  # some union is sigma2 but not pi2
+
+
+# ---------------------------------------------------------------------------
 # neutral letters
 
 
@@ -458,28 +558,6 @@ def test_up_word_contains_a_examples():
 
 
 # ---------------------------------------------------------------------------
-# omega powers
-
-
-def test_omega_power_of_idempotent(k_rec):
-    for e in k_rec.monoid.idempotents():
-        assert k_rec.monoid.omega_power(e) == e
-
-
-def test_omega_power_even_length():
-    rec = _rec("(aa)*", ("a",))
-    assert rec.monoid.omega_power(rec.morphism.image("a")) == rec.monoid.identity
-
-
-def test_omega_power_block_language(k_rec):
-    m, h = k_rec.monoid, k_rec.morphism
-    w = m.omega_power(h.eval("ab"))
-    assert m.mul(w, w) == w
-    assert w == h.eval("ab")  # ab is already idempotent
-    assert m.omega_power(h.eval("a")) == h.eval("aa")
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 
@@ -491,5 +569,4 @@ def test_monoid_json_rejects_broken_table(k_rec):
         identity=k_rec.monoid.identity,
         table=tuple(tuple(row) for row in table),
     )
-    with pytest.raises(VerificationError):
-        broken.validate()
+    assert monoid_law_failure(broken) == "identity law fails"

@@ -5,6 +5,7 @@ import pytest
 from sigma2lab.blockwords import enumerate_bad, enumerate_good, pack
 from sigma2lab.errors import NonSquareLengthError, PackError, PreconditionError
 from sigma2lab.languages import accepts, compile_pattern
+from sigma2lab.monoids import subword_witness
 from sigma2lab.reductions import (
     Factorization,
     MonoidWord,
@@ -104,7 +105,7 @@ def test_factorize_matches_subword_relation(k_rec, k_sw):
     h = k_rec.morphism
     m = k_rec.monoid
     for x, y in sorted(k_sw.pairs):
-        wit = k_sw.witness[(x, y)]
+        wit = subword_witness(h, (x, y))
         fact = factorize_subword_witness(h, wit.word, wit.positions)
         prod = m.identity
         for xj, yj in zip(fact.xs, fact.ys):
