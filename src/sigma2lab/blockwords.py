@@ -97,12 +97,14 @@ def packed_from_str(text: str) -> Packed:
     out = []
     for part in parts:
         part = part.strip()
+        # more digits than r is out of range, and may be too many for int()
+        digits = part.lstrip("0")
         if part == "_":
             out.append(None)
-        elif part.isdigit() and int(part) >= 1:
-            out.append(int(part))
+        elif part.isdecimal() and 0 < len(digits) <= len(parts):
+            out.append(int(digits))
         else:
-            raise PackError(f"entry {part!r} is not '_' or a positive integer")
+            raise PackError(f"entry {part!r} is not '_' or an integer in 1..{len(parts)}")
     packed = tuple(out)
     unpack(packed)  # range check against r = len(packed)
     return packed

@@ -255,5 +255,5 @@ def circuit_from_json(text: str) -> Sigma2Circuit:
             bottom=tuple(int(x) for x in payload["bottom"]),
             k=int(payload["k"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CircuitStructureError(f"malformed circuit payload: {exc}") from exc

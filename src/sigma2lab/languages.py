@@ -20,6 +20,7 @@ from .errors import (
     AlphabetMismatchError,
     PreconditionError,
     RegexSyntaxError,
+    SizeGuardError,
     UnknownSymbolError,
 )
 
@@ -182,7 +183,10 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> Regex:
     for sym in alpha:
         if not sym:
             raise UnknownSymbolError("alphabet symbols must be non-empty")
-    return _Parser(text, alpha).parse()
+    try:
+        return _Parser(text, alpha).parse()
+    except RecursionError:
+        raise SizeGuardError("pattern nests too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +220,10 @@ class Dfa:
             raise PreconditionError(f"initial state {self.initial} out of range")
         if not all(0 <= q < n for q in self.accepting):
             raise PreconditionError("accepting state out of range")
-        if len(self.delta) != n:
-            raise PreconditionError(f"{len(self.delta)} transition rows for {n} states")
+        if not isinstance(self.delta, Sequence) or len(self.delta) != n:
+            raise PreconditionError(f"the transition rows do not fit {n} states")
         for row in self.delta:
-            if len(row) != len(self.alphabet):
+            if not isinstance(row, Sequence) or len(row) != len(self.alphabet):
                 raise PreconditionError("a transition row does not fit the alphabet")
             if not all(0 <= q < n for q in row):
                 raise PreconditionError("transition target out of range")
@@ -434,12 +438,15 @@ def minimize(d: Dfa) -> Dfa:
 def compile(expr: Regex, alphabet: Iterable[str]) -> Dfa:
     """Compile a regex tree to its minimal DFA over the given alphabet.
 
-    Compilation never fails: the empty language and the empty word are
-    ordinary cases.
+    The empty language and the empty word are ordinary cases; only a
+    tree too deep for the recursive Thompson construction is refused.
     """
     alpha = tuple(alphabet)
-    _check_symbols(expr, frozenset(alpha))
-    eps, trans, start, end = _thompson(expr, alpha)
+    try:
+        _check_symbols(expr, frozenset(alpha))
+        eps, trans, start, end = _thompson(expr, alpha)
+    except RecursionError:
+        raise SizeGuardError("regex tree too deep to compile") from None
     n, initial, accepting, delta = _subset_construction(alpha, eps, trans, start, end)
     return _minimize_tables(alpha, n, initial, accepting, delta)
 

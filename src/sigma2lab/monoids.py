@@ -2,14 +2,15 @@
 
 The transition monoid of a minimal DFA is computed by breadth-first
 closure over the generator transformations, so element 0 is always the
-identity and every element keeps its state transformation and a
-shortest representative word (ties broken lexicographically by the
-alphabet order). The syntactic order is "more accepting is larger":
-s <= t when every context (p, q) with p s q accepting also has p t q
-accepting, so the image of the language is an upper set. It is read off
-the states ordered by inclusion of their residuals (the language each
-state accepts): s <= t iff r s <= r t for every state r (Pin, Syntactic
-semigroups, 1997).
+identity and every element keeps its state transformation and a shortest
+representative word (ties broken lexicographically by the alphabet
+order). Its table is read off the Cayley graphs of that closure
+(Froidure & Pin, Algorithms for computing finite semigroups, 1997). The
+syntactic order is "more accepting is larger": s <= t when every context
+(p, q) with p s q accepting also has p t q accepting, so the image of
+the language is an upper set. It is read off the states ordered by
+inclusion of their residuals (the language each state accepts): s <= t
+iff r s <= r t for every state r (Pin, Syntactic semigroups, 1997).
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) is decided by one equation
@@ -36,6 +37,7 @@ from .errors import (
 from .languages import Dfa, Word, as_word, minimize
 
 MONOID_SIZE_LIMIT = 4096
+_NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize first"
 
 
 # ---------------------------------------------------------------------------
@@ -94,49 +96,51 @@ def transition_monoid(
     """Transition monoid of a minimal DFA, with its evaluation morphism.
 
     Elements are state transformations discovered breadth-first from the
-    identity, so indices are stable for a given DFA. Raises
-    NotMinimalError for non-minimal input (minimize first) and
-    MonoidSizeError beyond max_size elements.
+    identity, so indices are stable for a given DFA. Row s of the table
+    is row suffix[s], the rest of its representative after the first
+    letter, mapped through left multiplication by that letter (Froidure
+    & Pin 1997). Raises NotMinimalError for non-minimal input (minimize
+    first), ahead of MonoidSizeError beyond max_size elements.
     """
-    if minimize(d).n_states != d.n_states:
-        raise NotMinimalError(
-            "transition monoid is syntactic only for minimal DFAs; minimize first"
-        )
     n = d.n_states
-    identity = tuple(range(n))
-    gens = {
-        sym: tuple(d.delta[q][a] for q in range(n))
-        for a, sym in enumerate(d.alphabet)
-    }
-
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    elements: list[tuple[int, ...]] = [identity]
+    gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
+    index = {tuple(range(n)): 0}
+    elements = list(index)
     words: list[Word] = [()]
-    i = 0
-    while i < len(elements):
-        current = elements[i]
-        for sym in d.alphabet:
-            g = gens[sym]
-            composed = tuple(g[q] for q in current)
-            if composed not in index:
-                if len(elements) >= max_size:
-                    raise MonoidSizeError(
-                        f"transition monoid exceeds {max_size} elements"
-                    )
-                index[composed] = len(elements)
+    right: list[list[int]] = [[] for _ in gens]  # right[a][s]: s a
+    first, suffix = [-1], [0]  # s = (letter first[s]) (element suffix[s])
+    for s, image in enumerate(elements):
+        for a, g in enumerate(gens):
+            composed = tuple(map(g.__getitem__, image))
+            t = index.setdefault(composed, len(elements))
+            if t == len(elements):
+                if t >= max_size and minimize(d).n_states != n:
+                    raise NotMinimalError(_NOT_MINIMAL)
+                if t >= max_size:
+                    raise MonoidSizeError(f"transition monoid exceeds {max_size} elements")
                 elements.append(composed)
-                words.append(words[i] + (sym,))
-        i += 1
-
-    size = len(elements)
-    table = tuple(
-        tuple(index[tuple(t[q] for q in s)] for t in elements) for s in elements
-    )
-    monoid = FiniteMonoid(size=size, identity=0, table=table)
+                words.append(words[s] + (d.alphabet[a],))
+                first.append(first[s] if s else a)
+                suffix.append(right[a][suffix[s]] if s else 0)
+            right[a].append(t)
+    # minimal: all reached, residuals differ; a mask: the states a word leads into F
+    masks = [tuple(q in d.accepting for q in range(n))]
+    seen = set(masks)
+    for mask in masks:
+        for before in {tuple(map(mask.__getitem__, g)) for g in gens} - seen:
+            seen.add(before)
+            masks.append(before)
+    if len({e[d.initial] for e in elements}) < n or len(set(zip(*masks))) < n:
+        raise NotMinimalError(_NOT_MINIMAL)
+    left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
+    rows = [tuple(range(len(elements)))]  # row s: s t for every t
+    for s in range(1, len(elements)):
+        rows.append(tuple(map(left[first[s]].__getitem__, rows[suffix[s]])))
+    monoid = FiniteMonoid(size=len(rows), identity=0, table=tuple(rows))
     morphism = Morphism(
         alphabet=d.alphabet,
         monoid=monoid,
-        generator={sym: index[gens[sym]] for sym in d.alphabet},
+        generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
         representative=tuple(words),
         action=tuple(elements),
     )

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms than
 the package: regex matching by derivatives instead of automata, order
 and subword relations by brute force over words and contexts, Moore
 refinement instead of Hopcroft, limits by scanning every position set.
-The subword relation is also built by the breadth-first search that
+The transition monoid's table is also built by composing state maps
+cell by cell, the subword relation by the breadth-first search that
 keeps a witness for every pair, and sigma2 is also decided by the
 content form of its identity, which needs no subword relation.
 Slow is fine; these run at desk scale only.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from sigma2lab.errors import MonoidSizeError, NotMinimalError
 from sigma2lab.languages import (
     Concat,
     Empty,
@@ -23,6 +25,7 @@ from sigma2lab.languages import (
     Union,
     accepts,
 )
+from sigma2lab.monoids import FiniteMonoid, Morphism
 
 # ---------------------------------------------------------------------------
 # regex semantics via Brzozowski derivatives
@@ -111,6 +114,47 @@ def moore_state_count(d) -> int:
         if new_block == block:
             return len(set(block.values()))
         block = new_block
+
+
+def bfs_transition_monoid(d, max_size):
+    """Transition monoid and morphism, every product composed and hashed.
+
+    The same breadth-first closure as the package, but each of the M^2
+    table cells composes two state maps and looks the result up.
+    Minimality is checked by Moore refinement first, so NotMinimalError
+    wins over MonoidSizeError.
+    """
+    n = d.n_states
+    if moore_state_count(d) != n:
+        raise NotMinimalError("not minimal")
+    identity = tuple(range(n))
+    gens = {
+        sym: tuple(d.delta[q][a] for q in range(n)) for a, sym in enumerate(d.alphabet)
+    }
+    index = {identity: 0}
+    elements = [identity]
+    words = [()]
+    for i, current in enumerate(elements):
+        for sym in d.alphabet:
+            composed = tuple(gens[sym][q] for q in current)
+            if composed not in index:
+                if len(elements) >= max_size:
+                    raise MonoidSizeError(f"more than {max_size} elements")
+                index[composed] = len(elements)
+                elements.append(composed)
+                words.append(words[i] + (sym,))
+    table = tuple(
+        tuple(index[tuple(t[q] for q in s)] for t in elements) for s in elements
+    )
+    monoid = FiniteMonoid(size=len(elements), identity=0, table=table)
+    morphism = Morphism(
+        alphabet=d.alphabet,
+        monoid=monoid,
+        generator={sym: index[gens[sym]] for sym in d.alphabet},
+        representative=tuple(words),
+        action=tuple(elements),
+    )
+    return monoid, morphism
 
 
 # ---------------------------------------------------------------------------

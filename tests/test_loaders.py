@@ -1,0 +1,102 @@
+"""Loaders fail only with the package's own errors, whatever they are fed.
+
+Hypothesis draws arbitrary text, JSON values and DFA shapes. Each loader
+must either return or raise a ToolkitError subclass, which the command
+line maps to an exit code and a one-line message; any other exception
+fails the test with the input that raised it.
+"""
+
+import json
+
+from hypothesis import example, given, settings, strategies as st
+
+from sigma2lab.blockwords import packed_from_str
+from sigma2lab.circuits import circuit_from_json
+from sigma2lab.errors import ToolkitError
+from sigma2lab.languages import Dfa, compile_pattern, parse_regex
+
+
+def _loads_or_refuses(load, *args) -> None:
+    try:
+        load(*args)
+    except ToolkitError:
+        pass
+
+
+# text that is mostly pattern syntax, and text of any kind
+PATTERNS = st.text(st.sampled_from("ab c()+*[]e0"), max_size=30) | st.text(max_size=20)
+ALPHABETS = st.lists(st.text(max_size=2), max_size=3) | st.just(["a", "b"])
+NESTED = "(" * 20000 + "a" + ")" * 20000
+LONG = "a" * 20000
+
+
+@settings(max_examples=100)
+@given(PATTERNS, ALPHABETS)
+@example(NESTED, ["a"])
+@example(LONG, ["a"])
+def test_parse_regex_refuses_cleanly(text, alphabet):
+    _loads_or_refuses(parse_regex, text, alphabet)
+
+
+@settings(max_examples=60)
+@given(PATTERNS, ALPHABETS)
+@example(NESTED, ["a"])
+@example(LONG, ["a"])
+def test_compile_pattern_refuses_cleanly(text, alphabet):
+    _loads_or_refuses(compile_pattern, text, alphabet)
+
+
+@settings(max_examples=100)
+@given(st.text(st.sampled_from("0123456789_, ²٣"), max_size=12) | st.text())
+@example("9" * 5000 + ",1")
+def test_packed_from_str_refuses_cleanly(text):
+    _loads_or_refuses(packed_from_str, text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+LITERALS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "pos": st.integers(0, 5) | JSON_VALUES,
+        "letter": st.sampled_from("abc") | JSON_VALUES,
+    }
+)
+REFS = st.integers(-1, 2)
+CIRCUITS = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 4) | JSON_VALUES,
+        "alphabet": st.just(["a", "b"]) | JSON_VALUES,
+        "top": st.lists(st.lists(LITERALS, max_size=2), max_size=2) | JSON_VALUES,
+        "and": st.lists(st.lists(REFS | JSON_VALUES, max_size=2), max_size=2),
+        "bottom": st.lists(REFS, max_size=2) | JSON_VALUES,
+        "k": st.integers(-1, 3) | JSON_VALUES,
+    }
+)
+
+
+@settings(max_examples=60)
+@given(st.text() | JSON_VALUES.map(json.dumps) | CIRCUITS.map(json.dumps))
+@example("[" * 100000)
+@example('{"n": 1e400, "alphabet": "ab", "top": [], "and": [], "bottom": [], "k": 1}')
+def test_circuit_from_json_refuses_cleanly(text):
+    _loads_or_refuses(circuit_from_json, text)
+
+
+STATES = st.integers(-1, 4)
+ROWS = st.lists(STATES | st.lists(STATES, max_size=3).map(tuple), max_size=4).map(tuple)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.text(max_size=1), max_size=3).map(tuple),
+    STATES,
+    STATES,
+    st.frozensets(STATES, max_size=3),
+    ROWS | STATES,
+)
+def test_dfa_refuses_malformed_shapes(alphabet, n_states, initial, accepting, delta):
+    _loads_or_refuses(Dfa, alphabet, n_states, initial, accepting, delta)

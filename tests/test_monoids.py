@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     bfs_subword_relation,
+    bfs_transition_monoid,
     brute_subword_pairs,
     content_sigma2,
     definitional_neutral,
@@ -29,7 +30,7 @@ from sigma2lab.errors import (
     PreconditionError,
     UnknownSymbolError,
 )
-from sigma2lab.languages import Dfa, accepts, compile_pattern, complement
+from sigma2lab.languages import Dfa, accepts, compile_pattern, complement, minimize
 from sigma2lab.monoids import (
     FiniteMonoid,
     Morphism,
@@ -150,6 +151,52 @@ def test_morphism_eval_and_unknown_symbol(k_rec):
     assert h.eval("") == k_rec.monoid.identity
     with pytest.raises(UnknownSymbolError):
         h.eval("xy")
+
+
+def _monoid_or_error(build, d, max_size):
+    """The builder's result as comparable fields, or its error's class."""
+    try:
+        monoid, h = build(d, max_size)
+    except (MonoidSizeError, NotMinimalError) as err:
+        return type(err)
+    return {
+        "size": monoid.size,
+        "table": monoid.table,
+        "identity": monoid.identity,
+        "generator": h.generator,
+        "representative": h.representative,
+        "action": h.action,
+    }
+
+
+def test_table_matches_composition_oracle():
+    # the ladder, then seeded random DFAs as drawn (often not minimal, with
+    # any initial state) and minimized; both refuse monoids above 120
+    dfas = [
+        compile_pattern("(ac*b+c)*", ABC),
+        compile_pattern("(a(ac*b+c)*b+c)*", ABC),
+        compile_pattern("(a+b)*a(a+b)(a+b)(a+b)", AB),
+        _full_transformation_dfa(3),
+    ]
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        alphabet = ABC[: rng.randint(1, 3)]
+        delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+        d = Dfa(alphabet, n, rng.randrange(n), accepting, delta)
+        dfas += [d, minimize(d)]
+    kinds = set()
+    for d in dfas:
+        got = _monoid_or_error(transition_monoid, d, 120)
+        assert got == _monoid_or_error(bfs_transition_monoid, d, 120), d
+        kinds.add(got if isinstance(got, type) else "monoid")
+        if isinstance(got, dict) and len(got["table"]) > 1:
+            size = len(got["table"])
+            for build in (transition_monoid, bfs_transition_monoid):
+                assert _monoid_or_error(build, d, size) == got
+                assert _monoid_or_error(build, d, size - 1) is MonoidSizeError
+    assert kinds == {"monoid", NotMinimalError, MonoidSizeError}
 
 
 # ---------------------------------------------------------------------------
