@@ -10,12 +10,15 @@ arguments live.
 A word u is a k-limit of a family F when no k positions can tell u
 apart from all of F at once: for every set P of at most k positions
 some member of F agrees with u on P. Limits are what break small
-circuits; the laboratory's other modules construct them.
+circuits; the laboratory's other modules construct them. A probe is an
+AND of member masks: bit j of a word's mask at position p is set when
+member j carries that word's letter there, so P goes unmatched exactly
+when the AND of its positions' masks is 0.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb, isqrt
 
 from .errors import NonSquareLengthError, PackError, SearchBudgetError
@@ -39,9 +42,9 @@ def block_count(n: int) -> int:
 def check_block_word(w: str) -> int:
     """Validate letters and length; return r."""
     r = block_count(len(w))
-    for i, sym in enumerate(w):
-        if sym not in (A, B):
-            raise PackError(f"letter {sym!r} at position {i + 1} is not a or b")
+    if w.strip(A + B):  # some letter is neither; name the first one
+        i, sym = next((i, sym) for i, sym in enumerate(w) if sym not in (A, B))
+        raise PackError(f"letter {sym!r} at position {i + 1} is not a or b")
     return r
 
 
@@ -65,13 +68,27 @@ def pack(w: str) -> Packed:
     Defined for words with at most one a per block; two a's in a block
     have no packed form and raise PackError.
     """
+    r = check_block_word(w)
     out = []
-    for idx, bl in enumerate(blocks(w)):
-        c = bl.count(A)
-        if c > 1:
-            raise PackError(f"block {idx + 1} has {c} a's; at most one allowed")
-        out.append(bl.index(A) + 1 if c else None)
+    for start in range(0, len(w), r):
+        end = start + r
+        at = w.find(A, start, end)
+        if at >= 0 and w.find(A, at + 1, end) >= 0:
+            raise PackError(
+                f"block {start // r + 1} has {w.count(A, start, end)} a's; at most one allowed"
+            )
+        out.append(at - start + 1 if at >= 0 else None)
     return tuple(out)
+
+
+def pack_good(w: str) -> Packed | None:
+    """pack(w) for a good word, None for any other word over {a, b}."""
+    try:
+        packed = pack(w)
+    except PackError:
+        check_block_word(w)  # a letter outside {a, b} stays a PackError
+        return None  # two a's in one block
+    return None if None in packed else packed
 
 
 def unpack(packed: Packed) -> str:
@@ -146,6 +163,27 @@ def agree_on(u: str, w: str, positions) -> bool:
     return all(u[p - 1] == w[p - 1] for p in positions)
 
 
+def letter_masks(words, n: int) -> dict[tuple[int, str], int]:
+    """Bit j of masks[(p, x)] is set when words[j] carries x at position p.
+
+    Every word must have length n; pairs no word carries are left out.
+    """
+    joined = "".join(words)
+    masks = {}
+    for p in range(1, n + 1):
+        column = joined[p - 1 :: n][::-1]  # word j at bit j
+        letters = set(column)
+        for x in letters:
+            bits = column.translate({ord(y): "1" if y == x else "0" for y in letters})
+            masks[(p, x)] = int(bits, 2)
+    return masks
+
+
+def members_of(mask: int, items) -> list:
+    """The items whose index is a bit of mask, in order."""
+    return list(compress(items, map(int, reversed(f"{mask:b}"))))
+
+
 def k_limit_counterexample(
     u: str, family, k: int
 ) -> tuple[int, ...] | None:
@@ -153,7 +191,9 @@ def k_limit_counterexample(
 
     Position sets are scanned in lexicographic order, so the reported
     counterexample is stable. Agreement on a set implies agreement on
-    its subsets, so only maximal sets need checking.
+    its subsets, so only maximal sets need checking. The members that
+    match u on a set are the AND of agree[p] over its positions, agree[p]
+    being the mask of members that carry u's letter at p.
     """
     if k < 0:
         raise PackError("k must be nonnegative")
@@ -167,8 +207,14 @@ def k_limit_counterexample(
         raise SearchBudgetError(
             f"limit check over {comb(n, size)} position sets is beyond desk scale"
         )
+    masks = letter_masks(fam, n)
+    agree = [masks.get((p, x), 0) for p, x in enumerate(u, 1)]
+    everyone = (1 << len(fam)) - 1
     for ps in combinations(range(1, n + 1), size):
-        if not any(agree_on(u, w, ps) for w in fam):
+        matched = everyone
+        for p in ps:
+            matched &= agree[p - 1]
+        if not matched:
             return ps
     return None
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
-from .blockwords import block_count, enumerate_good, is_k_limit
+from .blockwords import block_count, enumerate_good, is_k_limit, letter_masks, members_of
 from .errors import (
     CircuitStructureError,
     PreconditionError,
@@ -127,21 +129,35 @@ def densest_and_gate(c: Sigma2Circuit, accepted) -> tuple[int, list[str]]:
 
     Every word given must be accepted by the circuit; the densest gate
     then collects at least its pigeonhole share, which is checked
-    rather than assumed. Ties go to the lowest gate index.
+    rather than assumed. Ties go to the lowest gate index. The gates are
+    evaluated on all words at once, as masks over the words: an OR gate
+    is the OR of its literals' masks, an AND gate the AND of its OR
+    gates'. The first word eval_circuit would refuse is reported.
     """
     words = list(accepted)
-    for w in words:
-        if not eval_circuit(c, w):
-            raise PreconditionError(f"word {w!r} is not accepted by the circuit")
+    letters = "".join(x for x in c.alphabet if len(x) == 1)
+    # words[:valid] pass eval_circuit's length and letter checks
+    valid = next(
+        (j for j, w in enumerate(words) if len(w) != c.n or w.strip(letters)), len(words)
+    )
+    masks = letter_masks(words[:valid], c.n)
+    everyone = (1 << valid) - 1
+    ors = [reduce(or_, (masks.get(lit, 0) for lit in gate), 0) for gate in c.top]
+    ands = [reduce(and_, (ors[ref] for ref in gate), everyone) for gate in c.ands]
+    rejected = everyone & ~reduce(or_, (ands[g] for g in c.bottom), 0)
+    if rejected:
+        w = words[(rejected & -rejected).bit_length() - 1]
+        raise PreconditionError(f"word {w!r} is not accepted by the circuit")
+    if valid < len(words):
+        eval_circuit(c, words[valid])  # raises for its length or a letter
     gates = sorted(set(c.bottom))
     if not gates:
         raise PreconditionError("circuit has no output AND gates")
-    best_gate = -1
-    best: list[str] = []
+    best_gate, densest = -1, 0
     for g in gates:
-        sat = [w for w in words if eval_and(c, g, w)]
-        if len(sat) > len(best):
-            best_gate, best = g, sat
+        if ands[g].bit_count() > densest.bit_count():
+            best_gate, densest = g, ands[g]
+    best = members_of(densest, words)
     if len(best) * len(gates) < len(words):
         raise VerificationError("densest gate fell below the pigeonhole share")
     return best_gate, best

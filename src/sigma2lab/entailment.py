@@ -16,21 +16,29 @@ member nu and a position i such that emptying nu's block i produces a
 bad word no k positions can separate from the family. Every family
 falls on one side or the other; that is the dichotomy the laboratory
 runs end to end.
+
+The searches read a family through its FamilyIndex: one member mask per
+(position, content) pair. The members satisfying a set of pairs are the
+AND of their masks, the members satisfying some pair of an i-set the
+OR, so S entails D exactly when S's AND has no bit outside D's OR.
+entails keeps the member-by-member scan of the definition, as the
+independent check of every certificate the index finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_, or_
 
 from .blockwords import (
     Packed,
     block_count,
-    check_block_word,
     is_bad,
     is_k_limit,
-    pack,
+    pack_good,
     unpack,
 )
 from .errors import (
@@ -62,15 +70,51 @@ def pack_family(words) -> tuple[list[Packed], int]:
     for w in ws:
         if len(w) != len(ws[0]):
             raise PreconditionError(f"family member {w!r} has mismatched length")
-        try:
-            packed = pack(w)
-        except PackError:
-            check_block_word(w)  # a letter outside {a, b} stays a PackError
-            packed = None  # two a's in one block
-        if packed is None or None in packed:
+        packed = pack_good(w)
+        if packed is None:
             raise PreconditionError(f"family member {w!r} is not good")
         members.add(packed)
     return sorted(members), r
+
+
+@dataclass(frozen=True)
+class FamilyIndex:
+    """A packed family with one member mask per (position, content) pair.
+
+    Bit j of at[(p, c)] is set when members[j] has content c at block p;
+    pairs no member carries are left out.
+    """
+
+    members: tuple[Packed, ...]
+    at: dict = field(compare=False, repr=False)
+    everyone: int = field(repr=False)
+
+    def masks(self, pairs) -> list[int]:
+        """The mask of each pair, in order."""
+        return [self.at.get(pair, 0) for pair in pairs]
+
+    def matching(self, pairs) -> int:
+        """The members that satisfy every pair: an AND of masks."""
+        return reduce(and_, self.masks(pairs), self.everyone)
+
+    def meeting(self, pairs) -> int:
+        """The members that satisfy some pair: an OR of masks."""
+        return reduce(or_, self.masks(pairs), 0)
+
+
+def index_family(Phi) -> FamilyIndex:
+    """The index of a packed family's distinct members, in sorted order.
+
+    An index is returned as it is.
+    """
+    if isinstance(Phi, FamilyIndex):
+        return Phi
+    members = tuple(sorted(set(Phi)))
+    at: dict[Pair, int] = {}
+    for j, mu in enumerate(members):
+        for pair in enumerate(mu, 1):
+            at[pair] = at.get(pair, 0) | 1 << j
+    return FamilyIndex(members, at, (1 << len(members)) - 1)
 
 
 def _checked_pairs(items, r: int | None) -> tuple[Pair, ...]:
@@ -100,11 +144,6 @@ def entails(S, D, Phi) -> bool:
         raise MalformedPairSetError("an i-set must keep to a single position")
     if len({c for _, c in D}) != len(D):
         raise MalformedPairSetError("an i-set must not repeat contents")
-    return _entailed(S, D, members)
-
-
-def _entailed(S, D, members) -> bool:
-    """The member scan behind entails, for pairs already checked."""
     for mu in members:
         if all(mu[p - 1] == c for p, c in S):
             if not any(mu[p - 1] == c for p, c in D):
@@ -118,17 +157,22 @@ def find_entailment(Phi, r: int, k: int, available, i: int):
     S runs over k-subsets of the available pairs away from position i,
     ordered by position tuple; D runs over i-sets by size then contents.
     The search only consults Phi and its arguments, so an encoder that
-    knows a member and a decoder that does not stay in lockstep.
+    knows a member and a decoder that does not stay in lockstep. Phi is
+    the packed family or its FamilyIndex.
     """
+    index = index_family(Phi)
     pool = _checked_pairs(((p, c) for p, c in available if p != i), r)
-    d_candidates = [
-        tuple((i, c) for c in cs)
+    i_pairs = [(i, c) for c in range(1, r + 1)]
+    i_masks = index.masks(i_pairs)
+    d_candidates = [  # (D, the members outside the OR of D's masks)
+        (D, ~reduce(or_, masks))
         for size in range(1, k + 1)
-        for cs in combinations(range(1, r + 1), size)
+        for D, masks in zip(combinations(i_pairs, size), combinations(i_masks, size))
     ]
-    for S in combinations(pool, k):
-        for D in d_candidates:
-            if _entailed(S, D, Phi):
+    for S, masks in zip(combinations(pool, k), combinations(index.masks(pool), k)):
+        satisfying = reduce(and_, masks, index.everyone)
+        for D, outside in d_candidates:
+            if not satisfying & outside:
                 return S, D
     return None
 
@@ -155,9 +199,13 @@ class TangledReport:
     tangled: bool
     r: int
     k: int
-    members: tuple[Packed, ...] = field(repr=False)  # the packed family, sorted
+    index: FamilyIndex = field(repr=False)  # the packed family, sorted, and its masks
     witness: tuple[Packed, int] | None
     certificates: dict = field(hash=False, repr=False, default_factory=dict)
+
+    @property
+    def members(self) -> tuple[Packed, ...]:
+        return self.index.members
 
     @property
     def family_size(self) -> int:
@@ -170,26 +218,26 @@ def is_tangled(family, k: int) -> TangledReport:
     Certificates for every (member, position) examined before the
     verdict are confirmed with entails and kept for inspection; on a
     tangled family that is all of them. The report carries the packed
-    family, so either side of the dichotomy can be built from it without
-    packing or searching again.
+    family and its index, so either side of the dichotomy can be built
+    from it without packing, indexing or searching again.
     """
     Phi, r = pack_family(family)
     _guard(r, k)
-    members = tuple(Phi)
+    index = index_family(Phi)
     certificates = {}
-    for mu in members:
+    for mu in index.members:
         pairs = _pairs_of(mu)
         for i in range(1, r + 1):
-            found = find_entailment(members, r, k, pairs, i)
+            found = find_entailment(index, r, k, pairs, i)
             if found is None:
-                return TangledReport(False, r, k, members, (mu, i), certificates)
+                return TangledReport(False, r, k, index, (mu, i), certificates)
             S, D = found
-            if (i, mu[i - 1]) not in D or not entails(S, D, members):
+            if (i, mu[i - 1]) not in D or not entails(S, D, index.members):
                 raise VerificationError(
                     "certificate does not entail the member's own pair"
                 )
             certificates[(mu, i)] = found
-    return TangledReport(True, r, k, members, None, certificates)
+    return TangledReport(True, r, k, index, None, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +294,17 @@ def check_packed_limit_conditions(
 
     Any probe of at most k word positions either misses block i's a or
     translates into such a (C, P), so P1 and P2 make unpack(mu) a
-    k-limit of the unpacked family.
+    k-limit of the unpacked family. Phi is the packed family or its
+    FamilyIndex.
     """
-    members = sorted(set(Phi))
+    index = index_family(Phi)
+    members = index.members
     if not members:
         return LimitConditionReport(False, "P1", "family is empty")
     r = len(members[0])
     if len(mu) != r or len(nu) != r:
         return LimitConditionReport(False, "P1", "length mismatch with family")
-    if nu not in set(members):
+    if nu not in members:
         return LimitConditionReport(False, "P1", "source member is not in the family")
     diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
     if len(diffs) != 1:
@@ -272,12 +322,9 @@ def check_packed_limit_conditions(
         p_size = k - c_size
         for extra in combinations(other_contents, c_size - 1):
             C = frozenset((nu_i,) + extra)
+            avoid = index.everyone & ~index.meeting((i, c) for c in C)
             for P in combinations(other_positions, p_size):
-                if not any(
-                    lam[i - 1] not in C
-                    and all(lam[p - 1] == nu[p - 1] for p in P)
-                    for lam in members
-                ):
+                if not avoid & index.matching((p, nu[p - 1]) for p in P):
                     return LimitConditionReport(
                         False,
                         "P2",
@@ -299,7 +346,7 @@ class MemberCode:
     digits: tuple[int, ...]  # index into the sorted i-set, one per derived position
 
 
-def _derive(Phi, r: int, k: int, specified: dict, content) -> bool:
+def _derive(index: FamilyIndex, r: int, k: int, specified: dict, content) -> bool:
     """Fill the smallest derivable position until all r are set; False on a stall.
 
     Position i gets content(i, D), D being the sorted i-set that
@@ -310,7 +357,7 @@ def _derive(Phi, r: int, k: int, specified: dict, content) -> bool:
     while len(specified) < r:
         for i in range(1, r + 1):
             if i not in specified:
-                found = find_entailment(Phi, r, k, specified.items(), i)
+                found = find_entailment(index, r, k, specified.items(), i)
                 if found is not None:
                     specified[i] = content(i, sorted(found[1]))
                     break
@@ -330,14 +377,16 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
 
     A second pass replays the derivation exactly as the decoder will:
     only pairs already specified may be used, and each step records
-    which pair of the entailed i-set is the member's own.
+    which pair of the entailed i-set is the member's own. Phi is the
+    packed family or its FamilyIndex, indexed once for both passes.
     """
+    index = index_family(Phi)
     free: set[int] = set()
     covered: set[int] = set()
     full_pairs = _pairs_of(mu)
     while len(covered) < r:
         i = min(p for p in range(1, r + 1) if p not in covered)
-        found = find_entailment(Phi, r, k, full_pairs, i)
+        found = find_entailment(index, r, k, full_pairs, i)
         if found is None:
             raise NotTangledError(
                 f"member {mu} has no certificate at position {i}"
@@ -361,7 +410,7 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
         return mu[i - 1]
 
     specified = {p: mu[p - 1] for p in sorted(free)}
-    if not _derive(Phi, r, k, specified, own_content):
+    if not _derive(index, r, k, specified, own_content):
         raise VerificationError("derivation stalled although the walk succeeded")
     return MemberCode(
         free_positions=tuple(sorted(free)),
@@ -390,7 +439,7 @@ def decode_member(Phi, r: int, k: int, code: MemberCode) -> Packed:
         return D[z][1]
 
     specified = dict(zip(code.free_positions, code.free_contents))
-    if not _derive(Phi, r, k, specified, coded_content):
+    if not _derive(index_family(Phi), r, k, specified, coded_content):
         raise PackError("code does not derive all positions against this family")
     if next(stream, None) is not None:
         raise PackError("digit stream longer than the derivation")
@@ -430,11 +479,12 @@ def tangled_encoding(family, k: int) -> EncodingReport:
 
 def _encoding(report: TangledReport) -> EncodingReport:
     """Codes for every member of a family the report found tangled."""
-    Phi, r, k = report.members, report.r, report.k
+    index, r, k = report.index, report.r, report.k
+    Phi = index.members
     codes: dict[Packed, MemberCode] = {}
     for mu in Phi:
-        code = encode_member(Phi, r, k, mu)
-        back = decode_member(Phi, r, k, code)
+        code = encode_member(index, r, k, mu)
+        back = decode_member(index, r, k, code)
         if back != mu:
             raise VerificationError(f"decode(encode({mu})) = {back}")
         codes[mu] = code
@@ -504,7 +554,7 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
             tangled=True, r=r, k=k, family_size=size, encoding=_encoding(report)
         )
     limit = _limit(report, family)
-    conditions = check_packed_limit_conditions(limit.packed, limit.source, report.members, k)
+    conditions = check_packed_limit_conditions(limit.packed, limit.source, report.index, k)
     if not conditions.ok:
         raise VerificationError(
             f"limit conditions failed on a constructed limit: {conditions.detail}"

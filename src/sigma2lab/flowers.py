@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
-from .blockwords import is_good, is_k_limit, tau, word_from_positions
+from .blockwords import is_good, is_k_limit, pack_good, word_from_positions
 from .errors import DegeneracyError, PreconditionError, VerificationError
 
 
@@ -104,12 +105,16 @@ def bad_limit_via_flower(family, k: int) -> FlowerLimit | None:
     words = list(family)
     if not words:
         raise PreconditionError("family is empty")
+    sets = []
     for w in words:
-        if not is_good(w):
+        packed = pack_good(w)
+        if packed is None:
             raise PreconditionError(f"family member {w!r} is not good")
+        # the a of block b sits at position b*r + its content
+        sets.append(frozenset(map(add, range(0, len(w), len(packed)), packed)))
     if k < 0:
         raise DegeneracyError("k must be nonnegative")
-    flower = find_flower((tau(w) for w in words), k + 1)
+    flower = find_flower(sets, k + 1)
     if flower is None:
         return None
     u = word_from_positions(len(words[0]), flower.core)

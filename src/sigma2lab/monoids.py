@@ -103,6 +103,14 @@ def transition_monoid(
     first), ahead of MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
+
+    def refuse() -> None:  # the monoid outgrows max_size; non-minimal input first
+        if minimize(d).n_states != n:
+            raise NotMinimalError(_NOT_MINIMAL)
+        raise MonoidSizeError(f"transition monoid exceeds {max_size} elements")
+
+    if max_size < 1:  # the identity counts
+        refuse()
     gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
     index = {tuple(range(n)): 0}
     elements = list(index)
@@ -114,10 +122,8 @@ def transition_monoid(
             composed = tuple(map(g.__getitem__, image))
             t = index.setdefault(composed, len(elements))
             if t == len(elements):
-                if t >= max_size and minimize(d).n_states != n:
-                    raise NotMinimalError(_NOT_MINIMAL)
                 if t >= max_size:
-                    raise MonoidSizeError(f"transition monoid exceeds {max_size} elements")
+                    refuse()
                 elements.append(composed)
                 words.append(words[s] + (d.alphabet[a],))
                 first.append(first[s] if s else a)

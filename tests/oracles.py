@@ -4,6 +4,9 @@ Everything here is deliberately written with different algorithms than
 the package: regex matching by derivatives instead of automata, order
 and subword relations by brute force over words and contexts, Moore
 refinement instead of Hopcroft, limits by scanning every position set.
+The lab's k-limit probes, entailment search, packed limit conditions
+and densest gate are also kept as the member-by-member scans their
+bitset indexes replaced.
 The transition monoid's table is also built by composing state maps
 cell by cell, the subword relation by the breadth-first search that
 keeps a witness for every pair, and sigma2 is also decided by the
@@ -14,8 +17,18 @@ Slow is fine; these run at desk scale only.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
-from sigma2lab.errors import MonoidSizeError, NotMinimalError
+from sigma2lab.blockwords import K_LIMIT_WORK_LIMIT
+from sigma2lab.entailment import LimitConditionReport
+from sigma2lab.errors import (
+    MalformedPairSetError,
+    MonoidSizeError,
+    NotMinimalError,
+    PackError,
+    PreconditionError,
+    SearchBudgetError,
+)
 from sigma2lab.languages import (
     Concat,
     Empty,
@@ -127,6 +140,8 @@ def bfs_transition_monoid(d, max_size):
     n = d.n_states
     if moore_state_count(d) != n:
         raise NotMinimalError("not minimal")
+    if max_size < 1:  # the identity is an element too
+        raise MonoidSizeError(f"more than {max_size} elements")
     identity = tuple(range(n))
     gens = {
         sym: tuple(d.delta[q][a] for q in range(n)) for a, sym in enumerate(d.alphabet)
@@ -424,3 +439,130 @@ def naive_eval(circuit, word: str) -> bool:
         if ands[ref]:
             result = True
     return result
+
+
+# ---------------------------------------------------------------------------
+# the lab's member scans, one member at a time
+
+
+def scan_k_limit_counterexample(u: str, family, k: int):
+    """The first maximal position set no member agrees with u on, or None."""
+    if k < 0:
+        raise PackError("k must be nonnegative")
+    fam = list(family)
+    n = len(u)
+    for w in fam:
+        if len(w) != n:
+            raise PackError("family words must have the same length as u")
+    size = min(k, n)
+    if comb(n, size) * max(len(fam), 1) > K_LIMIT_WORK_LIMIT:
+        raise SearchBudgetError(
+            f"limit check over {comb(n, size)} position sets is beyond desk scale"
+        )
+    for ps in combinations(range(1, n + 1), size):
+        if not any(all(u[p - 1] == w[p - 1] for p in ps) for w in fam):
+            return ps
+    return None
+
+
+def _scan_entailed(S, D, members) -> bool:
+    for mu in members:
+        if all(mu[p - 1] == c for p, c in S):
+            if not any(mu[p - 1] == c for p, c in D):
+                return False
+    return True
+
+
+def scan_find_entailment(Phi, r: int, k: int, available, i: int):
+    """Lex-first (S, D), each candidate checked against every member."""
+    pool = []
+    for item in available:
+        p, c = item
+        if p == i:
+            continue
+        if not (isinstance(p, int) and isinstance(c, int) and p >= 1 and c >= 1):
+            raise MalformedPairSetError(f"pair {item!r} is not two positive integers")
+        if p > r or c > r:
+            raise MalformedPairSetError(f"pair {item!r} is out of range for r={r}")
+        pool.append((p, c))
+    d_candidates = [
+        tuple((i, c) for c in cs)
+        for size in range(1, k + 1)
+        for cs in combinations(range(1, r + 1), size)
+    ]
+    for S in combinations(sorted(pool), k):
+        for D in d_candidates:
+            if _scan_entailed(S, D, Phi):
+                return S, D
+    return None
+
+
+def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport:
+    """P1 and P2, with every (C, P) probe scanning the members."""
+    members = sorted(set(Phi))
+    if not members:
+        return LimitConditionReport(False, "P1", "family is empty")
+    r = len(members[0])
+    if len(mu) != r or len(nu) != r:
+        return LimitConditionReport(False, "P1", "length mismatch with family")
+    if nu not in members:
+        return LimitConditionReport(False, "P1", "source member is not in the family")
+    diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
+    if len(diffs) != 1:
+        return LimitConditionReport(
+            False, "P1", f"words differ at {len(diffs)} positions, need exactly 1"
+        )
+    i = diffs[0]
+    if mu[i - 1] is not None:
+        return LimitConditionReport(False, "P1", "the differing block must be emptied")
+    nu_i = nu[i - 1]
+    other_contents = [c for c in range(1, r + 1) if c != nu_i]
+    other_positions = [p for p in range(1, r + 1) if p != i]
+    for c_size in range(1, min(k, r) + 1):
+        p_size = k - c_size
+        for extra in combinations(other_contents, c_size - 1):
+            C = frozenset((nu_i,) + extra)
+            for P in combinations(other_positions, p_size):
+                if not any(
+                    lam[i - 1] not in C and all(lam[p - 1] == nu[p - 1] for p in P)
+                    for lam in members
+                ):
+                    return LimitConditionReport(
+                        False,
+                        "P2",
+                        f"no member avoids contents {sorted(C)} at position {i} "
+                        f"while matching the source on {list(P)}",
+                        (tuple(sorted(C)), P),
+                    )
+    return LimitConditionReport(True)
+
+
+def naive_and(circuit, gate: int, word: str) -> bool:
+    return all(
+        any(word[pos - 1] == letter for pos, letter in circuit.top[ref])
+        for ref in circuit.ands[gate]
+    )
+
+
+def scan_densest_and_gate(circuit, accepted):
+    """The densest output AND gate, every word checked and counted alone."""
+    words = list(accepted)
+    for w in words:
+        if len(w) != circuit.n:
+            raise PreconditionError(
+                f"word length {len(w)} differs from circuit's {circuit.n}"
+            )
+        for sym in w:
+            if sym not in circuit.alphabet:
+                raise PreconditionError(f"letter {sym!r} not in the circuit's alphabet")
+        if not naive_eval(circuit, w):
+            raise PreconditionError(f"word {w!r} is not accepted by the circuit")
+    gates = sorted(set(circuit.bottom))
+    if not gates:
+        raise PreconditionError("circuit has no output AND gates")
+    best_gate, best = -1, []
+    for g in gates:
+        sat = [w for w in words if naive_and(circuit, g, w)]
+        if len(sat) > len(best):
+            best_gate, best = g, sat
+    return best_gate, best

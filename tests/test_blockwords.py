@@ -62,6 +62,16 @@ def test_check_block_word_names_the_offender():
         check_block_word("abb")
 
 
+def test_block_word_errors_name_the_first_offender():
+    with pytest.raises(PackError) as err:
+        check_block_word("abxcbbbba")
+    assert str(err.value) == "letter 'x' at position 3 is not a or b"
+    with pytest.raises(PackError) as err:
+        pack("abbaabaaa")
+    assert str(err.value) == "block 2 has 2 a's; at most one allowed"
+    assert pack("abbbbbbba") == (1, None, 3)
+
+
 def test_good_words_of_length_four():
     assert enumerate_good(4) == ["abab", "abba", "baab", "baba"]
     assert all(is_good(w) for w in enumerate_good(4))

@@ -80,6 +80,25 @@ def test_analyze_monoid_limit_exits_three(runner):
     assert "monoid too large" in result.stderr
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_analyze_monoid_limit_below_one_is_a_usage_error(runner, limit):
+    # a monoid has at least its identity, so no limit below 1 can pass
+    result = runner.invoke(
+        main, ["analyze", "(a+b)*", "--alphabet", "ab", "--monoid-limit", limit]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage error: Invalid value for '--monoid-limit'")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_analyze_monoid_limit_one_admits_the_identity(runner):
+    payload = invoke_json(
+        runner, ["analyze", "(a+b)*", "--alphabet", "ab", "--monoid-limit", "1"]
+    )
+    assert payload["monoid"]["size"] == 1
+
+
 # ---------------------------------------------------------------------------
 # lab klimit
 

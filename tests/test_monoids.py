@@ -145,6 +145,16 @@ def test_monoid_size_guard(k_dfa):
         recognize(k_dfa, max_size=3)
 
 
+def test_monoid_size_guard_counts_the_identity():
+    trivial = compile_pattern("(a+b)*", AB)
+    assert transition_monoid(trivial, max_size=1)[0].size == 1
+    for limit in (0, -3):
+        with pytest.raises(MonoidSizeError, match=f"exceeds {limit} elements"):
+            transition_monoid(trivial, max_size=limit)
+        with pytest.raises(NotMinimalError):
+            transition_monoid(BLOATED, max_size=limit)
+
+
 def test_morphism_eval_and_unknown_symbol(k_rec):
     h = k_rec.morphism
     assert h.eval("abab") == h.eval("ab")
@@ -191,7 +201,7 @@ def test_table_matches_composition_oracle():
         got = _monoid_or_error(transition_monoid, d, 120)
         assert got == _monoid_or_error(bfs_transition_monoid, d, 120), d
         kinds.add(got if isinstance(got, type) else "monoid")
-        if isinstance(got, dict) and len(got["table"]) > 1:
+        if isinstance(got, dict):
             size = len(got["table"])
             for build in (transition_monoid, bfs_transition_monoid):
                 assert _monoid_or_error(build, d, size) == got
