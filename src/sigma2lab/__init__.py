@@ -37,7 +37,6 @@ from .languages import (
     equivalent,
     minimize,
     parse_regex,
-    words_up_to,
 )
 from .monoids import (
     ClassReport,

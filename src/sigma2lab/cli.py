@@ -6,8 +6,9 @@ as indented key: value lines rendered from the same dictionary. Exit
 codes, each failure with one line on stderr: 0 on success; 2 for
 malformed input, from click's usage errors to regex syntax and bad
 families or circuits; 3 when a resource guard trips (the transition
-monoid outgrows its limit, a construction is asked for beyond its size
-cap); 4 when a self-check fails, naming the claim that failed.
+monoid outgrows its limit, a construction or search is asked for beyond
+its size cap or budget); 4 when a self-check fails, naming the claim that
+failed.
 
 Lab experiments all report through the same frame: the input that was
 run, the verdict, the witness backing it, and a verification block that
@@ -25,7 +26,6 @@ from .blockwords import (
     agree_on,
     enumerate_good,
     is_good,
-    is_k_limit,
     k_limit_counterexample,
     packed_from_str,
     packed_to_str,
@@ -176,6 +176,12 @@ def _parse_family(n: int, family: str) -> list[str]:
     return family.split(",")
 
 
+def _recheck_k_limit(u: str, words: list[str], k: int) -> bool:
+    """The k-limit definition, member by member, independent of the library's masks."""
+    probes = combinations(range(1, len(u) + 1), min(k, len(u)))
+    return all(any(agree_on(u, w, ps) for w in words) for ps in probes)
+
+
 def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
     if not sample:
         return words
@@ -201,11 +207,7 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
     words = _parse_family(n, family)
     ce = k_limit_counterexample(u, words, k)
     if ce is None:
-        # the definition, member by member, apart from the masks behind ce
-        probes = combinations(range(1, len(u) + 1), min(k, len(u)))
-        verification = {
-            "recheck_is_limit": all(any(agree_on(u, w, ps) for w in words) for ps in probes)
-        }
+        verification = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
     else:
         verification = {"no_member_matches": not any(agree_on(u, w, ce) for w in words)}
     verification["passed"] = all(verification.values())
@@ -282,7 +284,7 @@ def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) 
         }
         checks = {
             "not_good": not is_good(limit.word),
-            "k_limit": is_k_limit(limit.word, words, k),
+            "k_limit": _recheck_k_limit(limit.word, words, k),
         }
         checks["passed"] = all(checks.values())
         payload["verification"] = checks
@@ -502,7 +504,7 @@ def adversary_cmd(
         checks = {
             "accepted": eval_circuit(c, result.word),
             "outside_language": not is_good(result.word),
-            "k_limit": is_k_limit(result.word, gate_family, k),
+            "k_limit": _recheck_k_limit(result.word, gate_family, k),
         }
         checks["passed"] = all(checks.values())
         payload["verification"] = checks

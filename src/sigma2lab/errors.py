@@ -53,10 +53,6 @@ class DegeneracyError(ToolkitError):
     """Parameters left no room for the requested search (e.g. k > r - 1)."""
 
 
-class SearchBudgetError(ToolkitError):
-    """Parameters exceed the configured entailment search caps."""
-
-
 class NotTangledError(ToolkitError):
     """An encoding was requested for a family that is not tangled."""
 
@@ -67,6 +63,10 @@ class CircuitStructureError(ToolkitError):
 
 class SizeGuardError(ToolkitError):
     """A construction was requested outside its supported size range."""
+
+
+class SearchBudgetError(SizeGuardError):
+    """Parameters exceed the configured search caps."""
 
 
 class PreconditionError(ToolkitError):

@@ -1,20 +1,22 @@
-"""Regular languages: regex parsing, minimal DFAs, boolean operations.
+"""Regular languages: regex parsing, minimal DFAs, complement, equivalence.
 
 Words are tuples of symbols. Symbols are arbitrary non-empty strings, so
 alphabets made of generated names ("e0", "e1", ...) work the same way as
-single-letter ones. Every constructor in this module returns a DFA that
-is already minimal and canonically numbered (breadth-first from the
-initial state, columns in alphabet order), which makes equivalence a
-structural comparison.
+single-letter ones. A pattern compiles through its Glushkov position
+automaton (one state per letter occurrence, no epsilon-moves; Berry &
+Sethi 1986), a subset construction over sets of positions, and Hopcroft
+minimization. Every constructor in this module returns a DFA that is
+already minimal and canonically numbered (breadth-first from the initial
+state, columns in alphabet order), which makes equivalence a structural
+comparison.
 
 All functions are pure; DFAs and regex nodes are immutable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -262,87 +264,11 @@ def accepts(d: Dfa, w: str | Sequence[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compilation: Thompson construction, subset construction, minimization
-
-
-def _thompson(r: Regex, alphabet: tuple[str, ...]):
-    # eps[q] -> set of states, trans[q] -> list of (symbol index, state)
-    eps: list[set[int]] = []
-    trans: list[list[tuple[int, int]]] = []
-
-    def new_state() -> int:
-        eps.append(set())
-        trans.append([])
-        return len(eps) - 1
-
-    def build(node: Regex) -> tuple[int, int]:
-        start, end = new_state(), new_state()
-        if isinstance(node, Empty):
-            pass
-        elif isinstance(node, Epsilon):
-            eps[start].add(end)
-        elif isinstance(node, Letter):
-            trans[start].append((alphabet.index(node.symbol), end))
-        elif isinstance(node, Union):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            eps[start].update((ls, rs))
-            eps[le].add(end)
-            eps[re].add(end)
-        elif isinstance(node, Concat):
-            ls, le = build(node.left)
-            rs, re = build(node.right)
-            eps[start].add(ls)
-            eps[le].add(rs)
-            eps[re].add(end)
-        elif isinstance(node, Star):
-            ms, me = build(node.inner)
-            eps[start].update((ms, end))
-            eps[me].update((ms, end))
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        return start, end
-
-    start, end = build(r)
-    return eps, trans, start, end
-
-
-def _eps_closure(eps: list[set[int]], states: Iterable[int]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for nxt in eps[q]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
-def _subset_construction(alphabet, eps, trans, start, end):
-    initial = _eps_closure(eps, [start])
-    index = {initial: 0}
-    order = [initial]
-    delta_rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        current = order[i]
-        row = []
-        for a in range(len(alphabet)):
-            moved = [t for q in current for (sym, t) in trans[q] if sym == a]
-            nxt = _eps_closure(eps, moved)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta_rows.append(row)
-        i += 1
-    accepting = frozenset(i for i, s in enumerate(order) if end in s)
-    return len(order), 0, accepting, delta_rows
+# compilation: Glushkov positions, subset construction, minimization
 
 
 def _hopcroft(n, alphabet_size, delta, accepting):
-    """Hopcroft partition refinement; returns (state -> block, block count).
+    """Hopcroft partition refinement; returns the map state -> block.
 
     Splitting reuses the split block's id for the larger half and always
     queues the smaller half, which subsumes the textbook case analysis.
@@ -383,83 +309,108 @@ def _hopcroft(n, alphabet_size, delta, accepting):
                 block_of[q] = new_id
             for c in range(alphabet_size):
                 work.add((new_id, c))
-    return block_of, len(partition)
-
-
-def _minimize_tables(alphabet, n, initial, accepting, delta):
-    # drop unreachable states first
-    reach = [initial]
-    seen = {initial}
-    for q in reach:
-        for t in delta[q]:
-            if t not in seen:
-                seen.add(t)
-                reach.append(t)
-    remap = {q: i for i, q in enumerate(reach)}
-    n2 = len(reach)
-    delta2 = [[remap[delta[q][a]] for a in range(len(alphabet))] for q in reach]
-    acc2 = {remap[q] for q in accepting if q in remap}
-
-    block_of, _ = _hopcroft(n2, len(alphabet), delta2, acc2)
-
-    # canonical numbering: breadth-first over blocks from the initial block
-    rep = {}
-    for q in range(n2):
-        rep.setdefault(block_of[q], q)
-    start_block = block_of[0]
-    order = [start_block]
-    numbering = {start_block: 0}
-    for blk in order:
-        q = rep[blk]
-        for a in range(len(alphabet)):
-            nxt = block_of[delta2[q][a]]
-            if nxt not in numbering:
-                numbering[nxt] = len(order)
-                order.append(nxt)
-    table = []
-    for blk in order:
-        q = rep[blk]
-        table.append(tuple(numbering[block_of[delta2[q][a]]] for a in range(len(alphabet))))
-    accepting_final = frozenset(numbering[block_of[q]] for q in acc2)
-    return Dfa(
-        alphabet=tuple(alphabet),
-        n_states=len(order),
-        initial=0,
-        accepting=accepting_final,
-        delta=tuple(table),
-    )
+    return block_of
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal, canonically numbered DFA for the same language."""
-    return _minimize_tables(d.alphabet, d.n_states, d.initial, d.accepting, d.delta)
+    """Minimal, canonically numbered DFA for the same language.
+
+    Hopcroft refines all states; the breadth-first numbering from the
+    initial block, through one representative per block, then reaches
+    exactly the blocks some word leads to, so unreachable states drop out.
+    """
+    block_of = _hopcroft(d.n_states, len(d.alphabet), d.delta, d.accepting)
+    rep = {}
+    for q in range(d.n_states):
+        rep.setdefault(block_of[q], q)
+    start_block = block_of[d.initial]
+    order = [start_block]
+    numbering = {start_block: 0}
+    for blk in order:
+        for t in d.delta[rep[blk]]:
+            if block_of[t] not in numbering:
+                numbering[block_of[t]] = len(order)
+                order.append(block_of[t])
+    return Dfa(
+        alphabet=d.alphabet,
+        n_states=len(order),
+        initial=0,
+        accepting=frozenset(i for i, blk in enumerate(order) if rep[blk] in d.accepting),
+        delta=tuple(
+            tuple(numbering[block_of[t]] for t in d.delta[rep[blk]]) for blk in order
+        ),
+    )
 
 
 def compile(expr: Regex, alphabet: Iterable[str]) -> Dfa:
     """Compile a regex tree to its minimal DFA over the given alphabet.
 
-    The empty language and the empty word are ordinary cases; only a
-    tree too deep for the recursive Thompson construction is refused.
+    Each letter occurrence is a position; one walk over the tree gives
+    every node's (nullable, first, last) and fills follow[p], the
+    positions that may come right after p. Position 0 stands before the
+    word, so follow[0] = first(expr). The subset construction then runs
+    over sets of positions, with no epsilon-moves: a set accepts when it
+    meets last(expr), or holds 0 if expr is nullable. The empty language
+    and the empty word are ordinary cases; only a tree too deep for the
+    recursive walk is refused.
     """
     alpha = tuple(alphabet)
+    index = {sym: a for a, sym in enumerate(alpha)}
+    letter_of = [-1]
+    follow: list[set[int]] = [set()]
+
+    def walk(node: Regex) -> tuple[bool, set[int], set[int]]:
+        if isinstance(node, Letter):
+            if node.symbol not in index:
+                raise UnknownSymbolError(f"symbol {node.symbol!r} not in alphabet")
+            p = len(letter_of)
+            letter_of.append(index[node.symbol])
+            follow.append(set())
+            return False, {p}, {p}
+        if isinstance(node, (Empty, Epsilon)):
+            return isinstance(node, Epsilon), set(), set()
+        if isinstance(node, Union):
+            n1, f1, l1 = walk(node.left)
+            n2, f2, l2 = walk(node.right)
+            return n1 or n2, f1 | f2, l1 | l2
+        if isinstance(node, Concat):
+            n1, f1, l1 = walk(node.left)
+            n2, f2, l2 = walk(node.right)
+            for p in l1:
+                follow[p] |= f2
+            return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
+        if isinstance(node, Star):
+            _, first, last = walk(node.inner)
+            for p in last:
+                follow[p] |= first
+            return True, first, last
+        raise TypeError(f"not a regex node: {node!r}")
+
     try:
-        _check_symbols(expr, frozenset(alpha))
-        eps, trans, start, end = _thompson(expr, alpha)
+        nullable, follow[0], last = walk(expr)
     except RecursionError:
         raise SizeGuardError("regex tree too deep to compile") from None
-    n, initial, accepting, delta = _subset_construction(alpha, eps, trans, start, end)
-    return _minimize_tables(alpha, n, initial, accepting, delta)
-
-
-def _check_symbols(r: Regex, alpha: frozenset[str]) -> None:
-    if isinstance(r, Letter):
-        if r.symbol not in alpha:
-            raise UnknownSymbolError(f"symbol {r.symbol!r} not in alphabet")
-    elif isinstance(r, (Union, Concat)):
-        _check_symbols(r.left, alpha)
-        _check_symbols(r.right, alpha)
-    elif isinstance(r, Star):
-        _check_symbols(r.inner, alpha)
+    # moves[p][a]: the positions after p that carry alphabet[a]
+    moves = [[set() for _ in alpha] for _ in follow]
+    for p, after in enumerate(follow):
+        for q in after:
+            moves[p][letter_of[q]].add(q)
+    start = frozenset({0})
+    numbering = {start: 0}
+    order = [start]
+    rows = []
+    for current in order:
+        row = []
+        for a in range(len(alpha)):
+            nxt = frozenset().union(*(moves[p][a] for p in current))
+            if nxt not in numbering:
+                numbering[nxt] = len(order)
+                order.append(nxt)
+            row.append(numbering[nxt])
+        rows.append(tuple(row))
+    final = last | {0} if nullable else last
+    accepting = frozenset(i for i, s in enumerate(order) if not s.isdisjoint(final))
+    return minimize(Dfa(alpha, len(order), 0, accepting, tuple(rows)))
 
 
 def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
@@ -483,31 +434,6 @@ def complement(d: Dfa) -> Dfa:
     return minimize(out)
 
 
-def intersect(d1: Dfa, d2: Dfa) -> Dfa:
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {d1.alphabet} vs {d2.alphabet}"
-        )
-    start = (d1.initial, d2.initial)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for q1, q2 in order:
-        row = []
-        for a in range(len(d1.alphabet)):
-            nxt = (d1.delta[q1][a], d2.delta[q2][a])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-    accepting = frozenset(
-        i for i, (q1, q2) in enumerate(order)
-        if q1 in d1.accepting and q2 in d2.accepting
-    )
-    return _minimize_tables(d1.alphabet, len(order), 0, accepting, rows)
-
-
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality, via minimal canonical forms."""
     if d1.alphabet != d2.alphabet:
@@ -521,9 +447,3 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
         and m1.delta == m2.delta
     )
 
-
-def words_up_to(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
-    """All words over the alphabet of length at most max_len, shortlex."""
-    for length in range(max_len + 1):
-        for w in itertools.product(tuple(alphabet), repeat=length):
-            yield w

@@ -80,6 +80,20 @@ def test_analyze_monoid_limit_exits_three(runner):
     assert "monoid too large" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("a" * 3000, "regex tree too deep to compile"),
+        ("(" * 400 + "a" + ")" * 400, "pattern nests too deeply to parse"),
+    ],
+)
+def test_analyze_depth_guards_exit_three(runner, pattern, message):
+    result = runner.invoke(main, ["analyze", pattern, "--alphabet", "ab"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"too large: {message}\n"
+
+
 @pytest.mark.parametrize("limit", ["0", "-3"])
 def test_analyze_monoid_limit_below_one_is_a_usage_error(runner, limit):
     # a monoid has at least its identity, so no limit below 1 can pass
@@ -209,6 +223,17 @@ def test_tangled_degenerate_k_exits_two(runner):
     result = runner.invoke(main, ["lab", "tangled", "--n", "4", "--k", "3"])
     assert result.exit_code == 2
     assert "needs k constrained positions" in result.stderr
+
+
+def test_tangled_beyond_search_budget_exits_three(runner):
+    result = runner.invoke(
+        main, ["lab", "tangled", "--n", "36", "--k", "1", "--family", "1,1,1,1,1,1"]
+    )
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "too large: r=6, k=1 exceeds the search budget (MAX_R=5, MAX_K=2)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

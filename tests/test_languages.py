@@ -1,4 +1,4 @@
-"""Regex parsing, DFA compilation, and the boolean algebra of languages.
+"""Regex parsing, DFA compilation, minimization, complement and equivalence.
 
 The ground truth throughout is a Brzozowski-derivative matcher plus a
 Moore minimizer and a product-BFS equivalence check, all in oracles.py
@@ -37,10 +37,8 @@ from sigma2lab.languages import (
     compile_pattern,
     complement,
     equivalent,
-    intersect,
     minimize,
     parse_regex,
-    words_up_to,
 )
 
 AB = ("a", "b")
@@ -256,6 +254,41 @@ def test_minimality_against_moore():
         assert d.n_states == moore_state_count(d)
 
 
+def _random_dfa(rng):
+    """A random complete DFA of 1-9 states over 1-3 letters, any initial state."""
+    n = rng.randint(1, 9)
+    alphabet = ABC[: rng.randint(1, 3)]
+    delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Dfa(alphabet, n, rng.randrange(n), accepting, delta)
+
+
+def _reachable(d):
+    seen = {d.initial}
+    frontier = [d.initial]
+    while frontier:
+        for t in d.delta[frontier.pop()]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def test_minimize_random_dfas_with_unreachable_states():
+    rng = random.Random(5)
+    unreachable = nonzero_initial = 0
+    for _ in range(600):
+        d = _random_dfa(rng)
+        unreachable += len(_reachable(d)) < d.n_states
+        nonzero_initial += d.initial != 0
+        m = minimize(d)
+        assert m.initial == 0
+        assert m.n_states == moore_state_count(d)
+        assert equivalent_bfs(m, d)
+        assert minimize(m) == m
+    assert unreachable > 100 and nonzero_initial > 100
+
+
 def test_equivalent_matches_pair_bfs():
     dfas = [compile(r, AB) for r in _corpus(count=30, seed=3)]
     for d1, d2 in itertools.combinations(dfas, 2):
@@ -274,36 +307,17 @@ def test_equivalent_same_language_different_regex():
 
 
 # ---------------------------------------------------------------------------
-# boolean operations
+# complement and alphabet checks
 
 
 def test_complement_membership(k_dfa):
     co = complement(k_dfa)
-    for w in words_up_to(ABC, 5):
+    for w in words_up_to_oracle(ABC, 5):
         assert accepts(co, w) == (not accepts(k_dfa, w))
-
-
-def test_intersect_and_union_membership():
-    d1 = compile_pattern("(ab)*", AB)
-    d2 = compile_pattern("a(a+b)*", AB)
-    both = intersect(d1, d2)
-    for w in words_up_to(AB, 6):
-        assert accepts(both, w) == (accepts(d1, w) and accepts(d2, w))
-
-
-def test_intersect_with_complement_is_empty(k_dfa):
-    empty = intersect(k_dfa, complement(k_dfa))
-    assert empty.accepting == frozenset()
-    assert empty.n_states == 1
 
 
 def test_alphabet_mismatch_rejected(k_dfa):
     other = compile_pattern("a*", AB)
-    for op in (intersect, equivalent):
-        with pytest.raises(AlphabetMismatchError):
-            op(k_dfa, other)
+    with pytest.raises(AlphabetMismatchError):
+        equivalent(k_dfa, other)
 
-
-def test_words_up_to_shortlex():
-    ws = list(words_up_to(AB, 2))
-    assert ws == [(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
