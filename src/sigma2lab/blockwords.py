@@ -81,16 +81,6 @@ def pack(w: str) -> Packed:
     return tuple(out)
 
 
-def pack_good(w: str) -> Packed | None:
-    """pack(w) for a good word, None for any other word over {a, b}."""
-    try:
-        packed = pack(w)
-    except PackError:
-        check_block_word(w)  # a letter outside {a, b} stays a PackError
-        return None  # two a's in one block
-    return None if None in packed else packed
-
-
 def unpack(packed: Packed) -> str:
     """Inverse of pack; the packed tuple fixes r."""
     r = len(packed)

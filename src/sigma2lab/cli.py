@@ -226,7 +226,9 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
 @click.option("--n", type=int, default=9, show_default=True)
 @click.option("--p", "-p", "--petals", "p", type=int, required=True)
 @click.option("--family", default="good", show_default=True)
-@click.option("--sample", type=int, default=0, help="restrict to a random subfamily")
+@click.option(
+    "--sample", type=click.IntRange(min=0), default=0, help="restrict to a random subfamily"
+)
 @click.option("--seed", default=0, show_default=True)
 @json_option
 def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -> None:
@@ -255,7 +257,7 @@ def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -
 @click.option("--n", type=int, default=9, show_default=True)
 @click.option("--k", "-k", "k", type=int, required=True)
 @click.option("--family", default="good", show_default=True)
-@click.option("--sample", type=int, default=0)
+@click.option("--sample", type=click.IntRange(min=0), default=0)
 @click.option("--seed", default=0, show_default=True)
 @json_option
 def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) -> None:
@@ -294,7 +296,7 @@ def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) 
 @lab.command()
 @click.option("--n", type=int, default=9, show_default=True)
 @click.option("--k", "-k", "k", type=int, required=True)
-@click.option("--samples", type=int, default=20, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @json_option
 def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:

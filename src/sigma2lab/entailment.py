@@ -34,11 +34,13 @@ from math import comb
 from operator import and_, or_
 
 from .blockwords import (
+    A,
+    B,
     Packed,
     block_count,
+    check_block_word,
     is_bad,
     is_k_limit,
-    pack_good,
     unpack,
 )
 from .errors import (
@@ -61,17 +63,25 @@ MAX_K = 2
 
 
 def pack_family(words) -> tuple[list[Packed], int]:
-    """Distinct packed members in lexicographic order, plus the block size."""
+    """Distinct packed members in lexicographic order, plus the block size.
+
+    Distinct words are checked once each, in input order. A word of r
+    a's, n - r b's and an a in every block is good, so one find per
+    block packs it.
+    """
     ws = list(words)
     if not ws:
         raise PreconditionError("family is empty; block size undetermined")
-    r = block_count(len(ws[0]))
+    n = len(ws[0])
+    r = block_count(n)
+    starts = range(0, n, r)
     members = set()
-    for w in ws:
-        if len(w) != len(ws[0]):
+    for w in dict.fromkeys(ws):
+        if len(w) != n:
             raise PreconditionError(f"family member {w!r} has mismatched length")
-        packed = pack_good(w)
-        if packed is None:
+        packed = tuple([w.find(A, s, s + r) - s + 1 for s in starts])
+        if min(packed) < 1 or w.count(A) != r or w.count(B) != n - r:
+            check_block_word(w)  # a letter outside {a, b} is a PackError
             raise PreconditionError(f"family member {w!r} is not good")
         members.add(packed)
     return sorted(members), r

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
-from .blockwords import is_good, is_k_limit, pack_good, word_from_positions
-from .errors import DegeneracyError, PreconditionError, VerificationError
+from .blockwords import is_good, is_k_limit, word_from_positions
+from .entailment import pack_family
+from .errors import DegeneracyError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,16 @@ def bad_limit_via_flower(family, k: int) -> FlowerLimit | None:
     failed to produce one would be a bug, not a data condition.
     """
     words = list(family)
-    if not words:
-        raise PreconditionError("family is empty")
-    sets = []
-    for w in words:
-        packed = pack_good(w)
-        if packed is None:
-            raise PreconditionError(f"family member {w!r} is not good")
-        # the a of block b sits at position b*r + its content
-        sets.append(frozenset(map(add, range(0, len(w), len(packed)), packed)))
+    members, r = pack_family(words)
+    n = r * r
+    # the a of block b sits at position b*r + its content
+    sets = [frozenset(map(add, range(0, n, r), mu)) for mu in members]
     if k < 0:
         raise DegeneracyError("k must be nonnegative")
     flower = find_flower(sets, k + 1)
     if flower is None:
         return None
-    u = word_from_positions(len(words[0]), flower.core)
+    u = word_from_positions(n, flower.core)
     if is_good(u):
         raise VerificationError("flower core covers every block; petals collide")
     if not is_k_limit(u, words, k):

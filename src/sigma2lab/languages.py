@@ -8,7 +8,8 @@ Sethi 1986), a subset construction over sets of positions, and Hopcroft
 minimization. Every constructor in this module returns a DFA that is
 already minimal and canonically numbered (breadth-first from the initial
 state, columns in alphabet order), which makes equivalence a structural
-comparison.
+comparison. Parsing and compiling each run as one loop over an explicit
+stack, never recursing, so no nesting depth or pattern length is refused.
 
 All functions are pure; DFAs and regex nodes are immutable.
 """
@@ -22,7 +23,6 @@ from .errors import (
     AlphabetMismatchError,
     PreconditionError,
     RegexSyntaxError,
-    SizeGuardError,
     UnknownSymbolError,
 )
 
@@ -84,111 +84,77 @@ EPSILON = Epsilon()
 # string parses to epsilon. Union and concatenation associate to the
 # right.
 
-_SPECIAL = set("()+*[]")
 
-
-class _Parser:
-    def __init__(self, text: str, alphabet: frozenset[str]):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str) -> RegexSyntaxError:
-        return RegexSyntaxError(message, self.pos)
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> Regex:
-        node = self.parse_regex()
-        if self.peek() is not None:
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
-
-    def parse_regex(self) -> Regex:
-        terms = [self.parse_term()]
-        while self.peek() == "+":
-            self.pos += 1
-            terms.append(self.parse_term())
-        node = terms[-1]
-        for t in reversed(terms[:-1]):
-            node = Union(t, node)
-        return node
-
-    def parse_term(self) -> Regex:
-        factors = []
-        while True:
-            c = self.peek()
-            if c is None or c in ")+":
-                break
-            factors.append(self.parse_factor())
-        if not factors:
-            return EPSILON
-        node = factors[-1]
-        for f in reversed(factors[:-1]):
-            node = Concat(f, node)
-        return node
-
-    def parse_factor(self) -> Regex:
-        node = self.parse_base()
-        while self.peek() == "*":
-            self.pos += 1
-            node = Star(node)
-        return node
-
-    def parse_base(self) -> Regex:
-        c = self.peek()
-        if c is None:
-            raise self.error("unexpected end of pattern")
-        if c == "(":
-            self.pos += 1
-            node = self.parse_regex()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return node
-        if c == "[":
-            start = self.pos
-            end = self.text.find("]", self.pos)
-            if end < 0:
-                raise self.error("unterminated '['")
-            name = self.text[self.pos + 1 : end]
-            if not name:
-                raise self.error("empty symbol name")
-            if name not in self.alphabet:
-                raise UnknownSymbolError(
-                    f"symbol {name!r} not in alphabet (at position {start})"
-                )
-            self.pos = end + 1
-            return Letter(name)
-        if c == "*":
-            raise self.error("'*' needs something to repeat")
-        if c in _SPECIAL:
-            raise self.error(f"unexpected {c!r}")
-        if c not in self.alphabet:
-            raise UnknownSymbolError(
-                f"symbol {c!r} not in alphabet (at position {self.pos})"
-            )
-        self.pos += 1
-        return Letter(c)
+def _nest_right(make, items: list) -> Regex:
+    """make(items[0], make(items[1], ... items[-1])), for a nonempty list."""
+    node = items[-1]
+    for item in reversed(items[:-1]):
+        node = make(item, node)
+    return node
 
 
 def parse_regex(text: str, alphabet: Iterable[str]) -> Regex:
     """Parse a pattern over the given alphabet into a regex tree.
 
     The empty string yields epsilon. Raises RegexSyntaxError with a
-    position for malformed input, including symbols outside the alphabet.
+    position for malformed input, and UnknownSymbolError for symbols
+    outside the alphabet. One left-to-right loop reads the pattern; each
+    open group on its stack holds its finished terms and the factors of
+    the term being read, so nesting depth costs list entries, not Python
+    frames, and no pattern is too deep to parse.
     """
     alpha = frozenset(alphabet)
     for sym in alpha:
         if not sym:
             raise UnknownSymbolError("alphabet symbols must be non-empty")
-    try:
-        return _Parser(text, alpha).parse()
-    except RecursionError:
-        raise SizeGuardError("pattern nests too deeply to parse") from None
+    groups: list[tuple[list[Regex], list[Regex]]] = [([], [])]
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        c = text[pos] if pos < len(text) else None
+        terms, factors = groups[-1]
+        if c is None or c in ")+":
+            terms.append(_nest_right(Concat, factors) if factors else EPSILON)
+            factors.clear()
+            if c == "+":
+                pos += 1
+                continue
+            if c is None and len(groups) > 1:
+                raise RegexSyntaxError("expected ')'", pos)
+            if c == ")" and len(groups) == 1:
+                raise RegexSyntaxError("unexpected ')'", pos)
+            node = _nest_right(Union, terms)
+            if c is None:
+                return node
+            groups.pop()
+            groups[-1][1].append(node)
+        elif c == "*":
+            if not factors:
+                raise RegexSyntaxError("'*' needs something to repeat", pos)
+            factors[-1] = Star(factors[-1])
+        elif c == "(":
+            groups.append(([], []))
+        elif c == "[":
+            end = text.find("]", pos)
+            if end < 0:
+                raise RegexSyntaxError("unterminated '['", pos)
+            name = text[pos + 1 : end]
+            if not name:
+                raise RegexSyntaxError("empty symbol name", pos)
+            if name not in alpha:
+                raise UnknownSymbolError(
+                    f"symbol {name!r} not in alphabet (at position {pos})"
+                )
+            factors.append(Letter(name))
+            pos = end
+        elif c == "]":
+            raise RegexSyntaxError("unexpected ']'", pos)
+        elif c not in alpha:
+            raise UnknownSymbolError(f"symbol {c!r} not in alphabet (at position {pos})")
+        else:
+            factors.append(Letter(c))
+        pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,45 +317,51 @@ def compile(expr: Regex, alphabet: Iterable[str]) -> Dfa:
     word, so follow[0] = first(expr). The subset construction then runs
     over sets of positions, with no epsilon-moves: a set accepts when it
     meets last(expr), or holds 0 if expr is nullable. The empty language
-    and the empty word are ordinary cases; only a tree too deep for the
-    recursive walk is refused.
+    and the empty word are ordinary cases.
+
+    The walk is a post-order loop over an explicit stack, left child
+    first, so positions are numbered left to right and a tree of any
+    depth compiles: an inner node is popped once to push its children
+    and once more to combine the triples they left on the results stack.
     """
     alpha = tuple(alphabet)
     index = {sym: a for a, sym in enumerate(alpha)}
     letter_of = [-1]
     follow: list[set[int]] = [set()]
-
-    def walk(node: Regex) -> tuple[bool, set[int], set[int]]:
-        if isinstance(node, Letter):
+    results: list[tuple[bool, set[int], set[int]]] = []
+    stack: list[tuple[Regex, bool]] = [(expr, False)]
+    while stack:
+        node, combine = stack.pop()
+        if combine and isinstance(node, Star):
+            _, first, last = results[-1]
+            for p in last:
+                follow[p] |= first
+            results[-1] = True, first, last
+        elif combine:
+            n2, f2, l2 = results.pop()
+            n1, f1, l1 = results.pop()
+            if isinstance(node, Union):
+                results.append((n1 or n2, f1 | f2, l1 | l2))
+            else:
+                for p in l1:
+                    follow[p] |= f2
+                results.append((n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2))
+        elif isinstance(node, Letter):
             if node.symbol not in index:
                 raise UnknownSymbolError(f"symbol {node.symbol!r} not in alphabet")
             p = len(letter_of)
             letter_of.append(index[node.symbol])
             follow.append(set())
-            return False, {p}, {p}
-        if isinstance(node, (Empty, Epsilon)):
-            return isinstance(node, Epsilon), set(), set()
-        if isinstance(node, Union):
-            n1, f1, l1 = walk(node.left)
-            n2, f2, l2 = walk(node.right)
-            return n1 or n2, f1 | f2, l1 | l2
-        if isinstance(node, Concat):
-            n1, f1, l1 = walk(node.left)
-            n2, f2, l2 = walk(node.right)
-            for p in l1:
-                follow[p] |= f2
-            return n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2
-        if isinstance(node, Star):
-            _, first, last = walk(node.inner)
-            for p in last:
-                follow[p] |= first
-            return True, first, last
-        raise TypeError(f"not a regex node: {node!r}")
-
-    try:
-        nullable, follow[0], last = walk(expr)
-    except RecursionError:
-        raise SizeGuardError("regex tree too deep to compile") from None
+            results.append((False, {p}, {p}))
+        elif isinstance(node, (Empty, Epsilon)):
+            results.append((isinstance(node, Epsilon), set(), set()))
+        elif isinstance(node, (Union, Concat)):
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Star):
+            stack += [(node, True), (node.inner, False)]
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+    nullable, follow[0], last = results.pop()
     # moves[p][a]: the positions after p that carry alphabet[a]
     moves = [[set() for _ in alpha] for _ in follow]
     for p, after in enumerate(follow):

@@ -7,6 +7,8 @@ refinement instead of Hopcroft, limits by scanning every position set.
 The lab's k-limit probes, entailment search, packed limit conditions
 and densest gate are also kept as the member-by-member scans their
 bitset indexes replaced.
+Patterns are also parsed by the recursive-descent parser that the
+package's single-loop parser replaced.
 The transition monoid's table is also built by composing state maps
 cell by cell, the subword relation by the breadth-first search that
 keeps a witness for every pair, and sigma2 is also decided by the
@@ -27,9 +29,12 @@ from sigma2lab.errors import (
     NotMinimalError,
     PackError,
     PreconditionError,
+    RegexSyntaxError,
     SearchBudgetError,
+    UnknownSymbolError,
 )
 from sigma2lab.languages import (
+    EPSILON,
     Concat,
     Empty,
     Epsilon,
@@ -39,6 +44,109 @@ from sigma2lab.languages import (
     accepts,
 )
 from sigma2lab.monoids import FiniteMonoid, Morphism
+
+# ---------------------------------------------------------------------------
+# patterns by recursive descent, one method per grammar rule
+#
+# regex  := term ('+' term)*
+# term   := factor*
+# factor := base '*'*
+# base   := '(' regex ')' | '[' name ']' | symbol character
+
+
+class _RecursiveParser:
+    def __init__(self, text: str, alphabet: frozenset[str]):
+        self.text = text
+        self.alphabet = alphabet
+        self.pos = 0
+
+    def error(self, message: str) -> RegexSyntaxError:
+        return RegexSyntaxError(message, self.pos)
+
+    def peek(self) -> str | None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def parse(self):
+        node = self.parse_regex()
+        if self.peek() is not None:
+            raise self.error(f"unexpected {self.text[self.pos]!r}")
+        return node
+
+    def parse_regex(self):
+        terms = [self.parse_term()]
+        while self.peek() == "+":
+            self.pos += 1
+            terms.append(self.parse_term())
+        node = terms[-1]
+        for t in reversed(terms[:-1]):
+            node = Union(t, node)
+        return node
+
+    def parse_term(self):
+        factors = []
+        while True:
+            c = self.peek()
+            if c is None or c in ")+":
+                break
+            factors.append(self.parse_factor())
+        if not factors:
+            return EPSILON
+        node = factors[-1]
+        for f in reversed(factors[:-1]):
+            node = Concat(f, node)
+        return node
+
+    def parse_factor(self):
+        node = self.parse_base()
+        while self.peek() == "*":
+            self.pos += 1
+            node = Star(node)
+        return node
+
+    def parse_base(self):
+        c = self.peek()
+        if c is None:
+            raise self.error("unexpected end of pattern")
+        if c == "(":
+            self.pos += 1
+            node = self.parse_regex()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
+            return node
+        if c == "[":
+            start = self.pos
+            end = self.text.find("]", self.pos)
+            if end < 0:
+                raise self.error("unterminated '['")
+            name = self.text[self.pos + 1 : end]
+            if not name:
+                raise self.error("empty symbol name")
+            if name not in self.alphabet:
+                raise UnknownSymbolError(
+                    f"symbol {name!r} not in alphabet (at position {start})"
+                )
+            self.pos = end + 1
+            return Letter(name)
+        if c == "*":
+            raise self.error("'*' needs something to repeat")
+        if c in "()+*[]":
+            raise self.error(f"unexpected {c!r}")
+        if c not in self.alphabet:
+            raise UnknownSymbolError(
+                f"symbol {c!r} not in alphabet (at position {self.pos})"
+            )
+        self.pos += 1
+        return Letter(c)
+
+
+def parse_regex_recursive(text: str, alphabet):
+    """The regex tree of a pattern, by recursive descent; depth is bounded
+    by Python's recursion limit, so keep inputs short."""
+    return _RecursiveParser(text, frozenset(alphabet)).parse()
+
 
 # ---------------------------------------------------------------------------
 # regex semantics via Brzozowski derivatives

@@ -80,18 +80,23 @@ def test_analyze_monoid_limit_exits_three(runner):
     assert "monoid too large" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "pattern, message",
-    [
-        ("a" * 3000, "regex tree too deep to compile"),
-        ("(" * 400 + "a" + ")" * 400, "pattern nests too deeply to parse"),
-    ],
-)
-def test_analyze_depth_guards_exit_three(runner, pattern, message):
-    result = runner.invoke(main, ["analyze", pattern, "--alphabet", "ab"])
+def test_analyze_deep_nesting_is_not_refused(runner):
+    nested = "(" * 400 + "a" + ")" * 400
+    payload = invoke_json(runner, ["analyze", nested, "--alphabet", "ab"])
+    plain = invoke_json(runner, ["analyze", "a", "--alphabet", "ab"])
+    assert payload.pop("description") == nested
+    plain.pop("description")
+    assert payload == plain
+
+
+def test_analyze_long_pattern_meets_only_the_monoid_limit(runner):
+    result = runner.invoke(
+        main, ["analyze", "a" * 3000, "--alphabet", "ab", "--monoid-limit", "100"]
+    )
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert result.stderr == f"too large: {message}\n"
+    assert result.stderr.startswith("monoid too large: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -426,6 +431,10 @@ def test_adversary_fanin_above_k_exits_two(runner):
         (["reduce", "expand", "--word", "abbbabbba"], 4),
         (["--bogus"], 2),
         (["lab", "--bogus"], 2),
+        # negative sample counts are usage errors, not tracebacks or empty runs
+        (["lab", "flower", "--n", "9", "-p", "2", "--sample", "-1"], 2),
+        (["lab", "tangled", "--n", "9", "--k", "1", "--sample", "-2"], 2),
+        (["lab", "dichotomy", "--samples", "-1"], 2),
     ],
 )
 def test_errors_exit_with_their_code_and_one_stderr_line(
@@ -447,6 +456,8 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
         assert result.stderr == "self-check failed: expansion keeps the block count\n"
     if args == ["--bogus"]:
         assert result.stderr == "usage error: No such option '--bogus'.\n"
+    if "-1" in args or "-2" in args:
+        assert result.stderr.startswith("usage error: Invalid value for '--sample")
 
 
 @pytest.mark.parametrize("group", ["lab", "reduce", "circuit"])

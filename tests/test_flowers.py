@@ -181,6 +181,8 @@ def test_limit_guards():
         bad_limit_via_flower([], 1)
     with pytest.raises(PreconditionError):
         bad_limit_via_flower(["abab", "aabb"], 1)
+    with pytest.raises(PreconditionError, match="mismatched length"):
+        bad_limit_via_flower(["abab", "abbbabbba"], 1)
     with pytest.raises(DegeneracyError):
         bad_limit_via_flower(["abab"], -1)
 

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     equivalent_bfs,
     moore_state_count,
+    parse_regex_recursive,
     re_matches,
     words_up_to_oracle,
 )
@@ -116,6 +117,46 @@ def test_parse_nested_dyck_language():
             Letter("c"),
         )
     )
+
+
+def _parse_outcome(parse, text, alphabet):
+    """The tree, or the error's class, message and position."""
+    try:
+        return parse(text, alphabet)
+    except (RegexSyntaxError, UnknownSymbolError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parse_matches_recursive_descent_on_random_strings():
+    rng = random.Random(10)
+    seen = set()
+    for _ in range(10_000):
+        text = "".join(rng.choice("ab()+*[] c") for _ in range(rng.randint(0, 12)))
+        alphabet = rng.choice([AB, ("a", "b", "ab", " ")])
+        got = _parse_outcome(parse_regex, text, alphabet)
+        assert got == _parse_outcome(parse_regex_recursive, text, alphabet), text
+        seen.add(got[1].split(" (at")[0] if isinstance(got, tuple) else "tree")
+    # every outcome kind turned up, so none of them went untested
+    assert {
+        "tree",
+        "expected ')'",
+        "unexpected ')'",
+        "unexpected ']'",
+        "'*' needs something to repeat",
+        "unterminated '['",
+        "empty symbol name",
+        "symbol 'c' not in alphabet",
+    } <= seen
+
+
+def test_parse_and_compile_have_no_depth_limit():
+    nested = "(" * 400 + "a" + ")" * 400
+    assert compile_pattern(nested, AB) == compile_pattern("a", AB)
+    assert compile_pattern("a" * 3000, AB).n_states == 3002
+    deep = Letter("a")
+    for _ in range(10_000):
+        deep = Star(Concat(deep, EPSILON))  # 20,000 nodes deep, left-nested
+    assert compile(deep, AB) == compile_pattern("a*", AB)
 
 
 # ---------------------------------------------------------------------------
