@@ -93,37 +93,6 @@ def eval_circuit(c: Sigma2Circuit, w: str) -> bool:
     return any(eval_and(c, ref, w) for ref in c.bottom)
 
 
-def circuit_for_good(n: int) -> Sigma2Circuit:
-    """The brute-force recognizer of the good words: one AND per member.
-
-    Every AND spells out its word position by position through fan-in-1
-    OR gates, shared between members. Desk sizes only.
-    """
-    r = block_count(n)
-    if r > 3:
-        raise SizeGuardError(f"r={r} gives {r**r} AND gates; capped at r=3")
-    literal_index: dict[Literal, int] = {}
-    top: list[tuple[Literal, ...]] = []
-
-    def or_gate(lit: Literal) -> int:
-        if lit not in literal_index:
-            literal_index[lit] = len(top)
-            top.append((lit,))
-        return literal_index[lit]
-
-    ands = []
-    for w in enumerate_good(n):
-        ands.append(tuple(or_gate((p, w[p - 1])) for p in range(1, n + 1)))
-    return Sigma2Circuit(
-        n=n,
-        alphabet=("a", "b"),
-        top=tuple(top),
-        ands=tuple(ands),
-        bottom=tuple(range(len(ands))),
-        k=1,
-    )
-
-
 def densest_and_gate(c: Sigma2Circuit, accepted) -> tuple[int, list[str]]:
     """The output AND gate satisfied by the most of the accepted words.
 
@@ -234,30 +203,43 @@ def demo_accept_all(n: int = 9) -> Sigma2Circuit:
 
 
 def demo_exact_good(n: int = 9) -> Sigma2Circuit:
-    """Alias for the brute-force recognizer; densest gates are singletons."""
-    return circuit_for_good(n)
+    """The brute-force recognizer of the good words: one AND per member.
+
+    Every AND spells out its word position by position through fan-in-1
+    OR gates, shared between members, so every densest gate is a
+    singleton. Desk sizes only.
+    """
+    r = block_count(n)
+    if r > 3:
+        raise SizeGuardError(f"r={r} gives {r**r} AND gates; capped at r=3")
+    literal_index: dict[Literal, int] = {}
+    top: list[tuple[Literal, ...]] = []
+
+    def or_gate(lit: Literal) -> int:
+        if lit not in literal_index:
+            literal_index[lit] = len(top)
+            top.append((lit,))
+        return literal_index[lit]
+
+    ands = []
+    for w in enumerate_good(n):
+        ands.append(tuple(or_gate((p, w[p - 1])) for p in range(1, n + 1)))
+    return Sigma2Circuit(
+        n=n,
+        alphabet=("a", "b"),
+        top=tuple(top),
+        ands=tuple(ands),
+        bottom=tuple(range(len(ands))),
+        k=1,
+    )
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def circuit_to_json(c: Sigma2Circuit) -> str:
-    # literal positions are 1-indexed in the payload, as everywhere else
-    payload = {
-        "n": c.n,
-        "alphabet": list(c.alphabet),
-        "k": c.k,
-        "top": [
-            [{"pos": pos, "letter": letter} for pos, letter in gate] for gate in c.top
-        ],
-        "and": [list(gate) for gate in c.ands],
-        "bottom": list(c.bottom),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 def circuit_from_json(text: str) -> Sigma2Circuit:
+    # literal positions are 1-indexed in the payload, as everywhere else
     try:
         payload = json.loads(text)
         return Sigma2Circuit(

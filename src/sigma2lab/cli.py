@@ -167,13 +167,26 @@ def lab() -> None:
     """Limits, flowers, tangled families, and the dichotomy."""
 
 
-def _parse_family(n: int, family: str) -> list[str]:
-    """The keyword good, packed members split on ';', or words on ','."""
+def _parse_family(n: int | None, family: str, default_n: int) -> tuple[int, list[str]]:
+    """The word length and the words of a family.
+
+    The keyword good takes n from --n, or default_n when --n is not
+    given. Packed members split on ';', or words on ',', fix n as their
+    common length, and a given --n that disagrees is a usage error.
+    """
     if family == "good":
-        return enumerate_good(n)
+        n = default_n if n is None else n
+        return n, enumerate_good(n)
     if ";" in family or "_" in family or any(ch.isdigit() for ch in family):
-        return [unpack(packed_from_str(part)) for part in family.split(";")]
-    return family.split(",")
+        words = [unpack(packed_from_str(part)) for part in family.split(";")]
+    else:
+        words = family.split(",")
+    lengths = sorted({len(w) for w in words})
+    if len(lengths) > 1:
+        raise click.UsageError(f"family members differ in length: {lengths}")
+    if n is not None and n != lengths[0]:
+        raise click.UsageError(f"--n {n} disagrees with the family's length {lengths[0]}")
+    return lengths[0], words
 
 
 def _recheck_k_limit(u: str, words: list[str], k: int) -> bool:
@@ -192,7 +205,9 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
 
 @lab.command()
 @click.option("--u", "u", required=True, help="the candidate limit word")
-@click.option("--n", type=int, default=None, help="word length; defaults to |u|")
+@click.option(
+    "--n", type=int, default=None, help="length of the good family; defaults to |u|"
+)
 @click.option("--k", "-k", "k", type=int, required=True)
 @click.option(
     "--family",
@@ -203,8 +218,7 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
 @json_option
 def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
     """Check whether a word is a k-limit of a family."""
-    n = len(u) if n is None else n
-    words = _parse_family(n, family)
+    n, words = _parse_family(n, family, len(u))
     ce = k_limit_counterexample(u, words, k)
     if ce is None:
         verification = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
@@ -223,7 +237,9 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
 
 
 @lab.command()
-@click.option("--n", type=int, default=9, show_default=True)
+@click.option(
+    "--n", type=int, default=None, help="length of the good family; defaults to 9"
+)
 @click.option("--p", "-p", "--petals", "p", type=int, required=True)
 @click.option("--family", default="good", show_default=True)
 @click.option(
@@ -231,9 +247,12 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
 )
 @click.option("--seed", default=0, show_default=True)
 @json_option
-def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -> None:
+def flower(
+    n: int | None, p: int, family: str, sample: int, seed: int, as_json: bool
+) -> None:
     """Find a flower among the position sets of a family of good words."""
-    words = _sampled(_parse_family(n, family), sample, seed)
+    n, words = _parse_family(n, family, 9)
+    words = _sampled(words, sample, seed)
     sets = [tau(w) for w in words]
     fl = find_flower(sets, p)
     payload: dict = {
@@ -254,15 +273,20 @@ def flower(n: int, p: int, family: str, sample: int, seed: int, as_json: bool) -
 
 
 @lab.command()
-@click.option("--n", type=int, default=9, show_default=True)
+@click.option(
+    "--n", type=int, default=None, help="length of the good family; defaults to 9"
+)
 @click.option("--k", "-k", "k", type=int, required=True)
 @click.option("--family", default="good", show_default=True)
 @click.option("--sample", type=click.IntRange(min=0), default=0)
 @click.option("--seed", default=0, show_default=True)
 @json_option
-def tangled(n: int, k: int, family: str, sample: int, seed: int, as_json: bool) -> None:
+def tangled(
+    n: int | None, k: int, family: str, sample: int, seed: int, as_json: bool
+) -> None:
     """Decide tangledness; each verdict ships with its consequence."""
-    words = _sampled(_parse_family(n, family), sample, seed)
+    n, words = _parse_family(n, family, 9)
+    words = _sampled(words, sample, seed)
     result = dichotomy_suite(words, k)
     payload: dict = {
         "input": {"n": n, "k": k, "family": family, "family_size": result.family_size},

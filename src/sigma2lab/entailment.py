@@ -511,32 +511,7 @@ def _encoding(report: TangledReport) -> EncodingReport:
 
 
 # ---------------------------------------------------------------------------
-# size thresholds and the dichotomy runner
-
-
-def satisfies_size_thresholds(n: int, k: int, d: int) -> bool:
-    """Are r^r and its (2k+1)-th power large enough against n^d and k^r?
-
-    Both inequalities are evaluated in exact integers; the second is
-    stated at the (2k+1)-th power to clear the fractional exponent in
-    the raw form.
-    """
-    if k < 1 or d < 0:
-        raise DegeneracyError("need k >= 1 and d >= 0")
-    r = block_count(n)
-    first = r**r >= n**d * k**r
-    second = r ** (r * (2 * k + 1)) >= n ** (d * (2 * k + 1)) * r ** (2 * k * r)
-    return first and second
-
-
-def size_thresholds(k: int, d: int, search_limit: int = 10**6) -> int:
-    """The least perfect square n meeting both threshold inequalities."""
-    r = 1
-    while r * r <= search_limit:
-        if satisfies_size_thresholds(r * r, k, d):
-            return r * r
-        r += 1
-    raise SearchBudgetError(f"no satisfying square up to {search_limit}")
+# the dichotomy runner
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ class Star:
 
 Regex = Empty | Epsilon | Letter | Union | Concat | Star
 
-EMPTY = Empty()
 EPSILON = Epsilon()
 
 
@@ -238,6 +237,10 @@ def _hopcroft(n, alphabet_size, delta, accepting):
 
     Splitting reuses the split block's id for the larger half and always
     queues the smaller half, which subsumes the textbook case analysis.
+    A split costs O(|inside|), not the size of the block: a small inside
+    leaves the block's set in place, and otherwise the block is less
+    than twice inside, so building its rest costs as little. That makes
+    the refinement O(n log n) per letter.
     """
     preimage = [[[] for _ in range(n)] for _ in range(alphabet_size)]
     for q in range(n):
@@ -265,10 +268,12 @@ def _hopcroft(n, alphabet_size, delta, accepting):
             blk = partition[blk_id]
             if len(inside) == len(blk):
                 continue
-            outside = blk - inside
-            small = inside if len(inside) <= len(outside) else outside
-            large = blk - small
-            partition[blk_id] = large
+            if 2 * len(inside) <= len(blk):
+                blk -= inside
+                small = inside
+            else:
+                small = blk - inside
+                partition[blk_id] = inside
             partition.append(small)
             new_id = len(partition) - 1
             for q in small:

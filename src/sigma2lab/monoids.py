@@ -505,33 +505,3 @@ def classify_recognition(rec: Recognition, description: str = "") -> ClassReport
         pi2=pi2,
     )
 
-
-def confirm_failing_pair(
-    rec: Recognition,
-    sw: SubwordRelation,
-    x_word: str | Sequence[str],
-    y_word: str | Sequence[str],
-) -> dict:
-    """Check that (h(x_word), h(y_word)) is a valid failing equation pair.
-
-    Valid means: h(x_word) idempotent, the pair is in the subword
-    relation, and some context separates x from x y x. Useful for
-    confirming externally supplied witnesses independently of the
-    minimal witness the checker itself reports.
-    """
-    h = rec.morphism
-    x = h.eval(x_word)
-    y = h.eval(y_word)
-    table = rec.monoid.table
-    xyx = table[table[x][y]][x]
-    idempotent = table[x][x] == x
-    in_relation = bool(sw.companions[x] >> y & 1)
-    separated = not rec.ordered.leq(x, xyx)
-    return {
-        "x": x,
-        "y": y,
-        "idempotent": idempotent,
-        "in_subword_relation": in_relation,
-        "equation_fails": separated,
-        "valid_failing_pair": idempotent and in_relation and separated,
-    }

@@ -25,6 +25,8 @@ from .monoids import Morphism
 SEPARATOR = "b"
 FILLER = "c"
 MARK = "a"
+# transition_monoid numbers the identity 0; the wired words pad with it
+IDENTITY = 0
 
 
 def expansion(w: str) -> str:
@@ -113,7 +115,7 @@ def factorize_subword_witness(
 # the wired words
 
 
-def build_x_i(fact: Factorization, r: int, i: int, identity: int = 0) -> MonoidWord:
+def build_x_i(fact: Factorization, r: int, i: int) -> MonoidWord:
     """The i-slot carrier: per factor j, segment 1^(i-1) x_j 1^(r-i) y_j.
 
     Every build_x_i evaluates to the same product x regardless of i;
@@ -123,40 +125,20 @@ def build_x_i(fact: Factorization, r: int, i: int, identity: int = 0) -> MonoidW
         raise PreconditionError(f"slot {i} out of range 1..{r}")
     elements: list[int] = []
     for x_j, y_j in zip(fact.xs, fact.ys):
-        elements.extend([identity] * (i - 1))
+        elements.extend([IDENTITY] * (i - 1))
         elements.append(x_j)
-        elements.extend([identity] * (r - i))
+        elements.extend([IDENTITY] * (r - i))
         elements.append(y_j)
     return MonoidWord(tuple(elements))
 
 
-def build_y(fact: Factorization, r: int, identity: int = 0) -> MonoidWord:
+def build_y(fact: Factorization, r: int) -> MonoidWord:
     """The x-free variant: per factor j, segment 1^r y_j."""
     elements: list[int] = []
     for y_j in fact.ys:
-        elements.extend([identity] * r)
+        elements.extend([IDENTITY] * r)
         elements.append(y_j)
     return MonoidWord(tuple(elements))
-
-
-def delete_x_letters(word: MonoidWord, r: int, i: int, identity: int = 0) -> MonoidWord:
-    """Blank the x slot of every segment; build_x_i collapses to build_y.
-
-    Deletion is positional: the letter at offset i of each length r+1
-    segment is replaced by the identity, whatever it is.
-    """
-    if len(word.elements) % (r + 1) != 0:
-        raise PreconditionError(
-            f"length {len(word.elements)} is not divisible by the segment size {r + 1}"
-        )
-    if not 1 <= i <= r:
-        raise PreconditionError(f"slot {i} out of range 1..{r}")
-    return MonoidWord(
-        tuple(
-            identity if idx % (r + 1) == i - 1 else e
-            for idx, e in enumerate(word.elements)
-        )
-    )
 
 
 def t_good(fact: Factorization, r: int, indices) -> MonoidWord:
@@ -197,7 +179,6 @@ def wiring(fact: Factorization, w: str) -> MonoidWord:
     builders t_good and t_bad reproduce these words slot for slot.
     """
     r = block_count(len(w))
-    ident = 0
     parts: list[int] = []
     parts.extend(build_x_i(fact, r, 1).elements)
     for b in range(r):
@@ -207,7 +188,7 @@ def wiring(fact: Factorization, w: str) -> MonoidWord:
                 if sym == A:
                     parts.append(x_j)
                 elif sym == B:
-                    parts.append(ident)
+                    parts.append(IDENTITY)
                 else:
                     raise PackError(f"letter {sym!r} is not a or b")
             parts.append(y_j)

@@ -13,11 +13,16 @@ The transition monoid's table is also built by composing state maps
 cell by cell, the subword relation by the breadth-first search that
 keeps a witness for every pair, and sigma2 is also decided by the
 content form of its identity, which needs no subword relation.
+Three helpers live here because only tests use them:
+confirm_failing_pair checks an externally supplied failing equation
+pair, circuit_to_json writes the payload circuit_from_json reads, and
+delete_x_letters blanks the x slots of a wired monoid word.
 Slow is fine; these run at desk scale only.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 from math import comb
 
@@ -44,6 +49,7 @@ from sigma2lab.languages import (
     accepts,
 )
 from sigma2lab.monoids import FiniteMonoid, Morphism
+from sigma2lab.reductions import MonoidWord
 
 # ---------------------------------------------------------------------------
 # patterns by recursive descent, one method per grammar rule
@@ -674,3 +680,60 @@ def scan_densest_and_gate(circuit, accepted):
         if len(sat) > len(best):
             best_gate, best = g, sat
     return best_gate, best
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests need: checking an externally supplied equation
+# pair, writing circuit payloads, blanking the x slots of wired words
+
+
+def confirm_failing_pair(rec, sw, x_word, y_word) -> dict:
+    """Check that (h(x_word), h(y_word)) is a valid failing equation pair.
+
+    Valid means: h(x_word) idempotent, the pair is in the subword
+    relation, and some context separates x from x y x. This confirms an
+    externally supplied witness independently of the minimal witness
+    the checker itself reports.
+    """
+    h = rec.morphism
+    x = h.eval(x_word)
+    y = h.eval(y_word)
+    table = rec.monoid.table
+    xyx = table[table[x][y]][x]
+    idempotent = table[x][x] == x
+    in_relation = bool(sw.companions[x] >> y & 1)
+    separated = not rec.ordered.leq(x, xyx)
+    return {
+        "x": x,
+        "y": y,
+        "idempotent": idempotent,
+        "in_subword_relation": in_relation,
+        "equation_fails": separated,
+        "valid_failing_pair": idempotent and in_relation and separated,
+    }
+
+
+def circuit_to_json(c) -> str:
+    """The payload circuit_from_json reads; literal positions are 1-indexed."""
+    payload = {
+        "n": c.n,
+        "alphabet": list(c.alphabet),
+        "k": c.k,
+        "top": [
+            [{"pos": pos, "letter": letter} for pos, letter in gate] for gate in c.top
+        ],
+        "and": [list(gate) for gate in c.ands],
+        "bottom": list(c.bottom),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def delete_x_letters(word: MonoidWord, r: int, i: int) -> MonoidWord:
+    """Blank the x slot of every segment; build_x_i collapses to build_y.
+
+    Deletion is positional: the letter at offset i of each length r+1
+    segment is replaced by the identity, element 0.
+    """
+    return MonoidWord(
+        tuple(0 if idx % (r + 1) == i - 1 else e for idx, e in enumerate(word.elements))
+    )

@@ -13,7 +13,7 @@ import time
 from itertools import product
 
 from conftest import ACCEPTANCE_RESULTS, K_PATTERN
-from oracles import brute_is_k_limit, brute_subword_pairs
+from oracles import brute_is_k_limit, brute_subword_pairs, confirm_failing_pair
 from sigma2lab.blockwords import (
     enumerate_bad,
     enumerate_good,
@@ -40,7 +40,6 @@ from sigma2lab.flowers import bad_limit_via_flower, verify_flower
 from sigma2lab.languages import accepts, compile_pattern, complement, equivalent
 from sigma2lab.monoids import (
     classify,
-    confirm_failing_pair,
     recognize,
     subword_relation,
     up_word_accepts,

@@ -5,15 +5,13 @@ import random
 
 import pytest
 
-from oracles import naive_eval
+from oracles import circuit_to_json, naive_eval
 from sigma2lab.blockwords import enumerate_good, is_good
 from sigma2lab.circuits import (
     AdversaryResult,
     Sigma2Circuit,
     adversary,
-    circuit_for_good,
     circuit_from_json,
-    circuit_to_json,
     demo_accept_all,
     demo_block_selector,
     demo_exact_good,
@@ -137,7 +135,7 @@ def test_eval_matches_oracle_on_random_circuits():
 def test_circuit_for_good_is_exact_at_nine():
     from itertools import product
 
-    c = circuit_for_good(9)
+    c = demo_exact_good(9)
     assert len(c.ands) == 27
     assert len(c.top) == 18  # every position occurs with both letters
     assert c.size == 46
@@ -149,7 +147,7 @@ def test_circuit_for_good_is_exact_at_nine():
 def test_circuit_for_good_is_exact_at_four():
     from itertools import product
 
-    c = circuit_for_good(4)
+    c = demo_exact_good(4)
     assert len(c.ands) == 4
     for letters in product("ab", repeat=4):
         w = "".join(letters)
@@ -158,7 +156,7 @@ def test_circuit_for_good_is_exact_at_four():
 
 def test_circuit_for_good_size_guard():
     with pytest.raises(SizeGuardError):
-        circuit_for_good(16)
+        demo_exact_good(16)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,7 @@ def test_adversary_fanin_guard():
 
 
 def test_circuit_json_roundtrip():
-    for c in [demo_block_selector(9), demo_accept_all(9), circuit_for_good(4)]:
+    for c in [demo_block_selector(9), demo_accept_all(9), demo_exact_good(4)]:
         assert circuit_from_json(circuit_to_json(c)) == c
 
 

@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from oracles import circuit_to_json
 from sigma2lab import cli
-from sigma2lab.circuits import circuit_to_json, demo_accept_all
+from sigma2lab.circuits import demo_accept_all
 from sigma2lab.cli import main
 from sigma2lab.errors import VerificationError
 
@@ -239,6 +240,50 @@ def test_tangled_beyond_search_budget_exits_three(runner):
     assert result.stderr == (
         "too large: r=6, k=1 exceeds the search budget (MAX_R=5, MAX_K=2)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, n",
+    [
+        (["lab", "klimit", "--u", "abbbabbba", "--k", "1", "--family", "1,2,3"], 9),
+        (["lab", "klimit", "--u", "abab", "--k", "1", "--family", "abab,abab"], 4),
+        (["lab", "flower", "-p", "2", "--family", "abab"], 4),
+        (["lab", "tangled", "--k", "1", "--family", "1,2,3;2,3,1;3,1,2"], 9),
+        (["lab", "tangled", "--n", "9", "--k", "1", "--family", "1,2,3;2,3,1;3,1,2"], 9),
+        (["lab", "flower", "-p", "2"], 9),
+        (["lab", "flower", "--n", "4", "-p", "2"], 4),
+    ],
+)
+def test_lab_reports_the_family_length_as_n(runner, args, n):
+    assert invoke_json(runner, args)["input"]["n"] == n
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["lab", "tangled", "--n", "16", "--k", "1", "--family", "1,2,3;2,3,1;3,1,2"],
+            "--n 16 disagrees with the family's length 9",
+        ),
+        (
+            ["lab", "klimit", "--u", "abbbabbba", "--k", "1", "--family", "1,2,3", "--n", "4"],
+            "--n 4 disagrees with the family's length 9",
+        ),
+        (
+            ["lab", "flower", "--n", "9", "-p", "2", "--family", "abab"],
+            "--n 9 disagrees with the family's length 4",
+        ),
+        (
+            ["lab", "flower", "-p", "2", "--family", "abab,abbbabbba"],
+            "family members differ in length: [4, 9]",
+        ),
+    ],
+)
+def test_lab_refuses_an_n_its_family_contradicts(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"usage error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from sigma2lab.entailment import (
     find_entailment,
     is_tangled,
     pack_family,
-    satisfies_size_thresholds,
-    size_thresholds,
     tangled_encoding,
 )
 from sigma2lab.errors import (
@@ -323,30 +321,6 @@ def test_random_tangled_families_respect_bound():
             enc = tangled_encoding(fam, 1)
             assert enc.family_size <= enc.bound == 9
     assert found >= 5
-
-
-# ---------------------------------------------------------------------------
-# size thresholds
-
-
-def test_threshold_examples():
-    assert satisfies_size_thresholds(9, 1, 0)
-    assert size_thresholds(1, 0) == 1
-    assert size_thresholds(2, 1) == 100
-
-
-def test_threshold_monotone_in_d():
-    values = [size_thresholds(2, d) for d in range(4)]
-    assert values == sorted(values)
-
-
-def test_threshold_guards():
-    with pytest.raises(DegeneracyError):
-        satisfies_size_thresholds(9, 0, 1)
-    with pytest.raises(DegeneracyError):
-        satisfies_size_thresholds(9, 1, -1)
-    with pytest.raises(SearchBudgetError):
-        size_thresholds(2, 1, search_limit=9)
 
 
 # ---------------------------------------------------------------------------

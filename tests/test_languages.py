@@ -295,9 +295,10 @@ def test_minimality_against_moore():
         assert d.n_states == moore_state_count(d)
 
 
-def _random_dfa(rng):
-    """A random complete DFA of 1-9 states over 1-3 letters, any initial state."""
-    n = rng.randint(1, 9)
+def _random_dfa(rng, states=(1, 9)):
+    """A random complete DFA over 1-3 letters, any initial state; its state
+    count is drawn from the range states."""
+    n = rng.randint(*states)
     alphabet = ABC[: rng.randint(1, 3)]
     delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
     accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
@@ -317,9 +318,14 @@ def _reachable(d):
 
 def test_minimize_random_dfas_with_unreachable_states():
     rng = random.Random(5)
+    dfas = [_random_dfa(rng) for _ in range(600)]
+    # Hopcroft splits a block in place or builds its rest from the block;
+    # a long chain and many-state DFAs take both branches many times over
+    dfas += [_random_dfa(rng, states=(6, 14)) for _ in range(2500)]
+    chain = tuple((min(q + 1, 39),) for q in range(40))
+    dfas.append(Dfa(("a",), 40, 0, frozenset({39}), chain))
     unreachable = nonzero_initial = 0
-    for _ in range(600):
-        d = _random_dfa(rng)
+    for d in dfas:
         unreachable += len(_reachable(d)) < d.n_states
         nonzero_initial += d.initial != 0
         m = minimize(d)

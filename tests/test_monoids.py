@@ -14,6 +14,7 @@ from oracles import (
     bfs_subword_relation,
     bfs_transition_monoid,
     brute_subword_pairs,
+    confirm_failing_pair,
     content_sigma2,
     definitional_neutral,
     definitional_order,
@@ -38,7 +39,6 @@ from sigma2lab.monoids import (
     check_sigma2,
     classify,
     classify_recognition,
-    confirm_failing_pair,
     neutral_letters,
     recognize,
     subword_relation,

@@ -2,16 +2,15 @@
 
 import pytest
 
+from oracles import delete_x_letters
 from sigma2lab.blockwords import enumerate_bad, enumerate_good, pack
 from sigma2lab.errors import NonSquareLengthError, PackError, PreconditionError
 from sigma2lab.languages import accepts, compile_pattern
 from sigma2lab.monoids import subword_witness
 from sigma2lab.reductions import (
     Factorization,
-    MonoidWord,
     build_x_i,
     build_y,
-    delete_x_letters,
     expansion,
     factorize_subword_witness,
     p_annotate,
@@ -158,14 +157,6 @@ def test_delete_x_letters_reaches_build_y(fact_ab):
     for r in (2, 3):
         for i in range(1, r + 1):
             assert delete_x_letters(build_x_i(fact_ab, r, i), r, i) == build_y(fact_ab, r)
-
-
-def test_delete_x_letters_guards(fact_ab):
-    w = build_x_i(fact_ab, 3, 1)
-    with pytest.raises(PreconditionError):
-        delete_x_letters(MonoidWord((0, 1, 2)), 3, 1)
-    with pytest.raises(PreconditionError):
-        delete_x_letters(w, 3, 0)
 
 
 def test_t_good_evaluates_to_x(k_rec, fact_ab):

@@ -1,0 +1,81 @@
+"""The package's public surface is what its users reach.
+
+A module-level public name in src/sigma2lab must be referenced from
+src/, demos/ or perfbench/ (a perfbench boundary string such as
+"monoids.Recognition.complemented" counts), or be exported by the
+package __init__. Names that only tests reach belong in the tests,
+next to the test or in tests/oracles.py. cli.py is exempt: click
+registers its commands by decorator, so nothing names them.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sigma2lab"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes read, names imported, and dotted strings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                found.update(node.value.split("."))
+    return found
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unreached_names() -> list[str]:
+    """module.name for every public name nothing outside the tests reaches."""
+    users = [
+        path
+        for folder in ("src", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if "tests" not in path.relative_to(ROOT).parts
+    ]
+    referenced = set().union(*(_referenced(_parse(path)) for path in users))
+    return [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("__init__.py", "cli.py")
+        for name in _defined(_parse(path))
+        if name not in referenced
+    ]
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    unreached = unreached_names()
+    assert unreached == [], f"public names only the tests reach: {unreached}"
+
+
+def test_the_scan_sees_definitions_and_references():
+    tree = ast.parse(
+        "import x.y as z\nA = 1\n_B = 2\ndef f(): return g\nclass C: pass\n"
+        "S = 'mod.D.meth'\nT = 'not dotted, a sentence'\n"
+    )
+    assert _defined(tree) == ["A", "f", "C", "S", "T"]
+    assert {"y", "g", "mod", "D", "meth"} <= _referenced(tree)
+    assert not {"A", "f", "C", "sentence"} & _referenced(tree)
