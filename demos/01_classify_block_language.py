@@ -7,7 +7,8 @@ filler c's. K sits outside the exists-forall class but its complement
 is inside, which the equation check makes concrete.
 """
 
-from sigma2lab import classify, compile_pattern, neutral_letters, recognize
+from sigma2lab.languages import compile_pattern
+from sigma2lab.monoids import classify, neutral_letters, recognize
 from sigma2lab.reports import class_report_to_dict, render_lines
 
 ALPHABET = ("a", "b", "c")
@@ -21,7 +22,7 @@ print(f"monoid size: {rec.monoid.size}")
 print(f"idempotents: {rec.monoid.idempotents()}")
 
 # c maps to the identity, so it can be inserted and deleted at will
-print(f"neutral letters: {sorted(neutral_letters(dfa))}")
+print(f"neutral letters: {sorted(neutral_letters(rec))}")
 
 report = classify(dfa, description=K)
 print(f"sigma2: {report.sigma2.holds}")

@@ -10,42 +10,4 @@ flowers, entailment, tangled families, limits, and the adversary that
 exploits them.
 """
 
-from .errors import (
-    AlphabetMismatchError,
-    AntisymmetryError,
-    CircuitStructureError,
-    DegeneracyError,
-    MalformedPairSetError,
-    MonoidSizeError,
-    NonSquareLengthError,
-    NotMinimalError,
-    NotTangledError,
-    PackError,
-    PreconditionError,
-    RegexSyntaxError,
-    SearchBudgetError,
-    SizeGuardError,
-    ToolkitError,
-    UnknownSymbolError,
-    VerificationError,
-)
-from .languages import (
-    Dfa,
-    accepts,
-    compile_pattern,
-    complement,
-    equivalent,
-    minimize,
-    parse_regex,
-)
-from .monoids import (
-    ClassReport,
-    Recognition,
-    classify,
-    neutral_letters,
-    recognize,
-    subword_relation,
-    transition_monoid,
-)
-
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Regular languages: regex parsing, minimal DFAs, complement, equivalence.
+"""Regular languages: regex parsing and minimal DFAs.
 
 Words are tuples of symbols. Symbols are arbitrary non-empty strings, so
 alphabets made of generated names ("e0", "e1", ...) work the same way as
@@ -394,33 +394,3 @@ def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
     """parse_regex followed by compile."""
     alpha = tuple(alphabet)
     return compile(parse_regex(text, alpha), alpha)
-
-
-# ---------------------------------------------------------------------------
-# boolean operations and comparisons
-
-
-def complement(d: Dfa) -> Dfa:
-    out = Dfa(
-        alphabet=d.alphabet,
-        n_states=d.n_states,
-        initial=d.initial,
-        accepting=frozenset(range(d.n_states)) - d.accepting,
-        delta=d.delta,
-    )
-    return minimize(out)
-
-
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality, via minimal canonical forms."""
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {d1.alphabet} vs {d2.alphabet}"
-        )
-    m1, m2 = minimize(d1), minimize(d2)
-    return (
-        m1.n_states == m2.n_states
-        and m1.accepting == m2.accepting
-        and m1.delta == m2.delta
-    )
-

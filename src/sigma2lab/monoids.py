@@ -11,6 +11,9 @@ syntactic order is "more accepting is larger": s <= t when every context
 the language is an upper set. It is read off the states ordered by
 inclusion of their residuals (the language each state accepts): s <= t
 iff r s <= r t for every state r (Pin, Syntactic semigroups, 1997).
+The complement has the same monoid and the converse order (s <= t for
+the complement iff t <= s for the language), so its order is the same
+rows read the other way, never computed a second time.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) is decided by one equation
@@ -33,6 +36,7 @@ from .errors import (
     NotMinimalError,
     PreconditionError,
     UnknownSymbolError,
+    VerificationError,
 )
 from .languages import Dfa, Word, as_word, minimize
 
@@ -161,13 +165,17 @@ def transition_monoid(
 class OrderedMonoid:
     """A monoid with a compatible partial order, as bitmask rows.
 
-    leq_bits[s] has bit t set when s <= t.
+    leq_bits[s] has bit t set when s <= t, or, in the converse order,
+    when t <= s.
     """
 
     monoid: FiniteMonoid
     leq_bits: tuple[int, ...]
+    converse: bool = False
 
     def leq(self, s: int, t: int) -> bool:
+        if self.converse:
+            s, t = t, s
         return bool(self.leq_bits[s] >> t & 1)
 
 
@@ -231,15 +239,14 @@ class Recognition:
         return self.morphism.eval(w) in self.accepting
 
     def complemented(self) -> "Recognition":
-        """Recognition of the complement: same monoid, opposite order.
+        """Recognition of the complement: same monoid, converse order.
 
         Flipping the accepting states keeps the DFA minimal and canonical.
         """
         d = self.dfa
-        flipped = replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
         return Recognition(
-            dfa=flipped,
-            ordered=syntactic_order(flipped, self.morphism),
+            dfa=replace(d, accepting=frozenset(range(d.n_states)) - d.accepting),
+            ordered=replace(self.ordered, converse=not self.ordered.converse),
             morphism=self.morphism,
             accepting=frozenset(range(self.monoid.size)) - self.accepting,
         )
@@ -257,12 +264,8 @@ def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     return Recognition(dfa=d, ordered=ordered, morphism=morphism, accepting=accepting)
 
 
-def neutral_letters(d) -> frozenset[str]:
-    """Letters whose image is the identity; they never affect membership.
-
-    Accepts a DFA or an already-built Recognition.
-    """
-    rec = d if isinstance(d, Recognition) else recognize(d)
+def neutral_letters(rec: Recognition) -> frozenset[str]:
+    """Letters whose image is the identity; they never affect membership."""
     ident = rec.monoid.identity
     return frozenset(
         sym for sym in rec.morphism.alphabet if rec.morphism.image(sym) == ident
@@ -414,6 +417,8 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
 
     Scans idempotents and companions in index order and returns the first
     failure with the first separating context, so verdicts are stable.
+    An order that denies x <= xyx with no separating context is wrong,
+    and raises VerificationError.
     """
     ordered = rec.ordered
     monoid = rec.monoid
@@ -427,12 +432,20 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
             if ordered.leq(x, xyx):
                 continue
             context = next(
-                (p, q)
-                for p in range(monoid.size)
-                for q in range(monoid.size)
-                if table[table[p][x]][q] in acc
-                and table[table[p][xyx]][q] not in acc
+                (
+                    (p, q)
+                    for p in range(monoid.size)
+                    for q in range(monoid.size)
+                    if table[table[p][x]][q] in acc
+                    and table[table[p][xyx]][q] not in acc
+                ),
+                None,
             )
+            if context is None:
+                raise VerificationError(
+                    f"the order denies x <= xyx for x={x}, y={y}, "
+                    "but no context separates x from xyx"
+                )
             p, q = context
             return EquationVerdict(
                 holds=False,
@@ -483,7 +496,7 @@ def classify(
     """Full classification of the language of d.
 
     sigma2 comes from the equation check on the language, pi2 from the
-    same check on the complement (same monoid, opposite order), delta2
+    same check on the complement (same monoid, converse order), delta2
     is their conjunction.
     """
     return classify_recognition(recognize(d, max_size=max_size), description)

@@ -42,47 +42,35 @@ def witness_to_dict(w: EquationWitness) -> dict:
     }
 
 
-def replay_equation_witness(
-    rec: Recognition, w: EquationWitness, complement_side: bool = False
-) -> dict:
+def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
     """Re-check a failing equation pair from its words alone.
 
-    The witness claims p x q is in the language while p x y x q is not
-    (the other way around on the complement side). Both memberships are
-    replayed on the DFA; the algebraic claims about the pair are checked
-    against the morphism. rec must recognize the original language even
-    when the witness came from its complement.
+    The witness claims p x q is in the language of rec while p x y x q
+    is not. Both memberships are replayed on the DFA; the algebraic
+    claims about the pair are checked against the morphism. A pi2
+    witness is replayed on the complemented recognition it was found on.
     """
     h = rec.morphism
     m = rec.monoid
     x, y = h.eval(w.x_word), h.eval(w.y_word)
-    xyx = m.mul(m.mul(x, y), x)
     inner_in = accepts(rec.dfa, w.p_word + w.x_word + w.q_word)
     outer_in = accepts(rec.dfa, w.p_word + w.x_word + w.y_word + w.x_word + w.q_word)
-    if complement_side:
-        separates = (not inner_in) and outer_in
-    else:
-        separates = inner_in and not outer_in
     checks = {
         "x_word_maps_to_x": x == w.x,
         "y_word_maps_to_y": y == w.y,
         "x_is_idempotent": m.mul(x, x) == x,
         "pair_witness_valid": verify_subword_witness(h, (w.x, w.y), w.pair_witness),
-        "memberships_separate": separates,
+        "memberships_separate": inner_in and not outer_in,
     }
     checks["passed"] = all(checks.values())
     return checks
 
 
-def verdict_to_dict(
-    rec: Recognition, verdict, complement_side: bool = False
-) -> dict:
+def verdict_to_dict(rec: Recognition, verdict) -> dict:
     out: dict = {"holds": verdict.holds}
     if verdict.witness is not None:
         out["witness"] = witness_to_dict(verdict.witness)
-        out["replay"] = replay_equation_witness(
-            rec, verdict.witness, complement_side=complement_side
-        )
+        out["replay"] = replay_equation_witness(rec, verdict.witness)
     return out
 
 
@@ -105,7 +93,7 @@ def class_report_to_dict(rec: Recognition, report: ClassReport) -> dict:
         },
         "neutral_letters": list(report.neutral),
         "sigma2_lt": verdict_to_dict(rec, report.sigma2),
-        "pi2_lt": verdict_to_dict(rec, report.pi2, complement_side=True),
+        "pi2_lt": verdict_to_dict(rec.complemented(), report.pi2),
         "delta2_lt": delta2,
     }
 

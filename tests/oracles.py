@@ -13,7 +13,9 @@ The transition monoid's table is also built by composing state maps
 cell by cell, the subword relation by the breadth-first search that
 keeps a witness for every pair, and sigma2 is also decided by the
 content form of its identity, which needs no subword relation.
-Three helpers live here because only tests use them:
+Five helpers live here because only tests use them:
+complement and equivalent build the complement and compare languages
+by minimal canonical forms, independently of Recognition.complemented;
 confirm_failing_pair checks an externally supplied failing equation
 pair, circuit_to_json writes the payload circuit_from_json reads, and
 delete_x_letters blanks the x slots of a wired monoid word.
@@ -29,6 +31,7 @@ from math import comb
 from sigma2lab.blockwords import K_LIMIT_WORK_LIMIT
 from sigma2lab.entailment import LimitConditionReport
 from sigma2lab.errors import (
+    AlphabetMismatchError,
     MalformedPairSetError,
     MonoidSizeError,
     NotMinimalError,
@@ -41,12 +44,14 @@ from sigma2lab.errors import (
 from sigma2lab.languages import (
     EPSILON,
     Concat,
+    Dfa,
     Empty,
     Epsilon,
     Letter,
     Star,
     Union,
     accepts,
+    minimize,
 )
 from sigma2lab.monoids import FiniteMonoid, Morphism
 from sigma2lab.reductions import MonoidWord
@@ -198,7 +203,8 @@ def re_matches(r, word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DFA equivalence by product BFS, minimality by Moore refinement
+# complement and equivalence, DFA equivalence by product BFS, minimality
+# by Moore refinement
 
 
 def equivalent_bfs(d1, d2) -> bool:
@@ -218,6 +224,32 @@ def equivalent_bfs(d1, d2) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return True
+
+
+def complement(d):
+    """The complement, built from scratch and minimized."""
+    out = Dfa(
+        alphabet=d.alphabet,
+        n_states=d.n_states,
+        initial=d.initial,
+        accepting=frozenset(range(d.n_states)) - d.accepting,
+        delta=d.delta,
+    )
+    return minimize(out)
+
+
+def equivalent(d1, d2) -> bool:
+    """Language equality, via minimal canonical forms."""
+    if d1.alphabet != d2.alphabet:
+        raise AlphabetMismatchError(
+            f"alphabets differ: {d1.alphabet} vs {d2.alphabet}"
+        )
+    m1, m2 = minimize(d1), minimize(d2)
+    return (
+        m1.n_states == m2.n_states
+        and m1.accepting == m2.accepting
+        and m1.delta == m2.delta
+    )
 
 
 def moore_state_count(d) -> int:

@@ -13,7 +13,13 @@ import time
 from itertools import product
 
 from conftest import ACCEPTANCE_RESULTS, K_PATTERN
-from oracles import brute_is_k_limit, brute_subword_pairs, confirm_failing_pair
+from oracles import (
+    brute_is_k_limit,
+    brute_subword_pairs,
+    complement,
+    confirm_failing_pair,
+    equivalent,
+)
 from sigma2lab.blockwords import (
     enumerate_bad,
     enumerate_good,
@@ -37,7 +43,7 @@ from sigma2lab.entailment import (
 )
 from sigma2lab.errors import PackError
 from sigma2lab.flowers import bad_limit_via_flower, verify_flower
-from sigma2lab.languages import accepts, compile_pattern, complement, equivalent
+from sigma2lab.languages import accepts, compile_pattern
 from sigma2lab.monoids import (
     classify,
     recognize,
@@ -82,7 +88,7 @@ def test_criterion_1():
     report = classify(d, description=K_PATTERN)
     assert not report.sigma2.holds
     w = report.sigma2.witness
-    replay = replay_equation_witness(rec, w, complement_side=False)
+    replay = replay_equation_witness(rec, w)
     assert replay["passed"], replay
     assert report.neutral == ("c",)
     assert time.perf_counter() - t0 < 5.0

@@ -16,9 +16,7 @@ from sigma2lab.circuits import (
     demo_block_selector,
     demo_exact_good,
     densest_and_gate,
-    eval_and,
     eval_circuit,
-    eval_or,
 )
 from sigma2lab.entailment import bad_limit_via_entailment
 from sigma2lab.errors import (

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import circuit_to_json
-from sigma2lab import cli
+from sigma2lab import cli, monoids
 from sigma2lab.circuits import demo_accept_all
 from sigma2lab.cli import main
 from sigma2lab.errors import VerificationError
@@ -503,6 +503,20 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
         assert result.stderr == "usage error: No such option '--bogus'.\n"
     if "-1" in args or "-2" in args:
         assert result.stderr.startswith("usage error: Invalid value for '--sample")
+
+
+def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
+    # no element lies below any other, not even itself, so x <= xyx is
+    # denied for x = y = 1, where no context can separate
+    def empty_rows(d, morphism):
+        return monoids.OrderedMonoid(morphism.monoid, (0,) * morphism.monoid.size)
+
+    monkeypatch.setattr(monoids, "syntactic_order", empty_rows)
+    result = runner.invoke(main, ["analyze", K_PATTERN, "--alphabet", "abc"])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("self-check failed: ")
 
 
 @pytest.mark.parametrize("group", ["lab", "reduce", "circuit"])

@@ -33,7 +33,6 @@ from sigma2lab.errors import (
     PackError,
     PreconditionError,
     SearchBudgetError,
-    VerificationError,
 )
 
 GOOD4 = enumerate_good(4)

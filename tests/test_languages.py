@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    complement,
+    equivalent,
     equivalent_bfs,
     moore_state_count,
     parse_regex_recursive,
@@ -36,8 +38,6 @@ from sigma2lab.languages import (
     accepts,
     compile,
     compile_pattern,
-    complement,
-    equivalent,
     minimize,
     parse_regex,
 )

@@ -14,6 +14,7 @@ from oracles import (
     bfs_subword_relation,
     bfs_transition_monoid,
     brute_subword_pairs,
+    complement,
     confirm_failing_pair,
     content_sigma2,
     definitional_neutral,
@@ -24,6 +25,7 @@ from oracles import (
     order_law_failure,
     words_up_to_oracle,
 )
+from sigma2lab import monoids
 from sigma2lab.errors import (
     AntisymmetryError,
     MonoidSizeError,
@@ -31,7 +33,7 @@ from sigma2lab.errors import (
     PreconditionError,
     UnknownSymbolError,
 )
-from sigma2lab.languages import Dfa, accepts, compile_pattern, complement, minimize
+from sigma2lab.languages import Dfa, accepts, compile_pattern, minimize
 from sigma2lab.monoids import (
     FiniteMonoid,
     Morphism,
@@ -49,6 +51,7 @@ from sigma2lab.monoids import (
     verify_subword_witness,
 )
 from sigma2lab.reductions import MonoidWord
+from sigma2lab.reports import class_report_to_dict
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -307,6 +310,21 @@ def test_complemented_recognition(k_rec):
         for t in range(6):
             if co.ordered.leq(s, t):
                 assert t in co.accepting
+    # complementing twice gives back the language's order
+    assert co.complemented().ordered == k_rec.ordered
+
+
+def test_one_syntactic_order_per_language(monkeypatch, k_dfa):
+    calls = []
+
+    def counted(d, morphism):
+        calls.append(d)
+        return syntactic_order(d, morphism)
+
+    monkeypatch.setattr(monoids, "syntactic_order", counted)
+    rec = recognize(k_dfa)
+    class_report_to_dict(rec, classify_recognition(rec))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +596,18 @@ def test_piecewise_unions_are_sigma2_and_their_complements_pi2():
 
 
 def test_neutral_letters_block_language(k_dfa):
-    assert neutral_letters(k_dfa) == frozenset({"c"})
+    assert neutral_letters(recognize(k_dfa)) == frozenset({"c"})
     assert definitional_neutral(k_dfa, 6) == {"c"}
 
 
 def test_neutral_letters_full_language():
     d = compile_pattern("(a+b)*", AB)
-    assert neutral_letters(d) == frozenset(AB)
+    assert neutral_letters(recognize(d)) == frozenset(AB)
 
 
 def test_neutral_letters_even_length():
     d = compile_pattern("(aa)*", ("a",))
-    assert neutral_letters(d) == frozenset()
+    assert neutral_letters(recognize(d)) == frozenset()
     assert definitional_neutral(d, 6) == set()
 
 

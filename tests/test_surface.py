@@ -2,10 +2,11 @@
 
 A module-level public name in src/sigma2lab must be referenced from
 src/, demos/ or perfbench/ (a perfbench boundary string such as
-"monoids.Recognition.complemented" counts), or be exported by the
-package __init__. Names that only tests reach belong in the tests,
-next to the test or in tests/oracles.py. cli.py is exempt: click
-registers its commands by decorator, so nothing names them.
+"monoids.Recognition.complemented" counts). The package __init__
+re-exports nothing, so it vouches for no name. Names that only tests
+reach belong in the tests, next to the test or in tests/oracles.py.
+cli.py is exempt: click registers its commands by decorator, so
+nothing names them.
 """
 
 import ast
