@@ -34,18 +34,18 @@ rec = recognize(dfa)
 fact = factorize_subword_witness(rec.morphism, "ab", (1,))
 x = rec.morphism.eval("ab")
 y = rec.morphism.eval("a")
-print(f"\nfactors t={fact.t}, xs={fact.xs}, ys={fact.ys}")
+print(f"\nfactors t={len(fact.xs)}, xs={fact.xs}, ys={fact.ys}")
 
 m = rec.monoid
 good_word = t_good(fact, 3, (1, 2, 3))
 bad_word = t_bad(fact, 3, (1, 2, 3), 2)
-print(f"t_good product = {m.product(good_word.elements)} (x = {x})")
-print(f"t_bad  product = {m.product(bad_word.elements)} (xyx = {m.mul(m.mul(x, y), x)})")
+print(f"t_good product = {m.product(good_word)} (x = {x})")
+print(f"t_bad  product = {m.product(bad_word)} (xyx = {m.mul(m.mul(x, y), x)})")
 
 # wiring letter by letter reproduces the builders on every block word
 for w in list(enumerate_good(9))[:3] + list(enumerate_bad(9))[:2]:
     wired = wiring(fact, w)
-    prod = m.product(wired.elements)
+    prod = m.product(wired)
     print(
         f"{w} good={is_good(w)!s:5} pack={pack(w)} "
         f"product={prod} up-accept={up_word_accepts(rec, x, wired)}"

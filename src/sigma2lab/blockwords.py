@@ -133,8 +133,17 @@ def word_from_positions(n: int, positions) -> str:
 
 
 def enumerate_good(n: int) -> list[str]:
-    """All good words of length n in lexicographic order (a < b)."""
+    """All good words of length n in lexicographic order (a < b).
+
+    There are r**r of them; beyond K_LIMIT_WORK_LIMIT words the family is
+    refused before any is built.
+    """
     r = block_count(n)
+    # past the limit's bit length r**r >= 2**r exceeds it, so no huge power is taken
+    if r > K_LIMIT_WORK_LIMIT.bit_length() or r**r > K_LIMIT_WORK_LIMIT:
+        raise SearchBudgetError(
+            f"the good family of length {n} has {r}**{r} words, beyond desk scale"
+        )
     return [unpack(p) for p in product(range(1, r + 1), repeat=r)]
 
 

@@ -54,6 +54,7 @@ from .errors import (
 from .flowers import bad_limit_via_flower, find_flower, verify_flower
 from .languages import accepts, compile_pattern
 from .monoids import (
+    MONOID_SIZE_LIMIT,
     check_sigma2,
     classify_recognition,
     recognize,
@@ -146,7 +147,7 @@ def main() -> None:
 @click.option(
     "--monoid-limit",
     type=click.IntRange(min=1),
-    default=4096,
+    default=MONOID_SIZE_LIMIT,
     show_default=True,
     help="abort (exit 3) if the transition monoid grows beyond this",
 )
@@ -411,7 +412,7 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
         rec.morphism, w.pair_witness.word, w.pair_witness.positions
     )
     wired = wiring(fact, word)
-    product = rec.monoid.product(wired.elements)
+    product = rec.monoid.product(wired)
     _emit(
         {
             "input": {"word": word, "lang": lang},
@@ -419,8 +420,8 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
             "good": is_good(word),
             "x": w.x,
             "y": w.y,
-            "factors": fact.t,
-            "monoid_word": {"monoid_ref": lang, "elements": list(wired.elements)},
+            "factors": len(fact.xs),
+            "monoid_word": {"monoid_ref": lang, "elements": list(wired)},
             "product": product,
             "up_word_accepts": up_word_accepts(rec, w.x, wired),
         },

@@ -17,10 +17,11 @@ bad word no k positions can separate from the family. Every family
 falls on one side or the other; that is the dichotomy the laboratory
 runs end to end.
 
-The searches read a family through its FamilyIndex: one member mask per
-(position, content) pair. The members satisfying a set of pairs are the
-AND of their masks, the members satisfying some pair of an i-set the
-OR, so S entails D exactly when S's AND has no bit outside D's OR.
+The searches read a family through its FamilyIndex, which carries the
+block count r and one member mask per (position, content) pair. The
+members satisfying a set of pairs are the AND of their masks, the
+members satisfying some pair of an i-set the OR, so S entails D exactly
+when S's AND has no bit outside D's OR.
 entails keeps the member-by-member scan of the definition, as the
 independent check of every certificate the index finds.
 """
@@ -89,13 +90,14 @@ def pack_family(words) -> tuple[list[Packed], int]:
 
 @dataclass(frozen=True)
 class FamilyIndex:
-    """A packed family with one member mask per (position, content) pair.
+    """A packed family of r-block members, one mask per (position, content) pair.
 
     Bit j of at[(p, c)] is set when members[j] has content c at block p;
-    pairs no member carries are left out.
+    pairs no member carries are left out. Every search reads r here.
     """
 
     members: tuple[Packed, ...]
+    r: int
     at: dict = field(compare=False, repr=False)
     everyone: int = field(repr=False)
 
@@ -112,19 +114,14 @@ class FamilyIndex:
         return reduce(or_, self.masks(pairs), 0)
 
 
-def index_family(Phi) -> FamilyIndex:
-    """The index of a packed family's distinct members, in sorted order.
-
-    An index is returned as it is.
-    """
-    if isinstance(Phi, FamilyIndex):
-        return Phi
+def index_family(Phi, r: int) -> FamilyIndex:
+    """The index of a packed family's distinct r-block members, in sorted order."""
     members = tuple(sorted(set(Phi)))
     at: dict[Pair, int] = {}
     for j, mu in enumerate(members):
         for pair in enumerate(mu, 1):
             at[pair] = at.get(pair, 0) | 1 << j
-    return FamilyIndex(members, at, (1 << len(members)) - 1)
+    return FamilyIndex(members, r, at, (1 << len(members)) - 1)
 
 
 def _checked_pairs(items, r: int | None) -> tuple[Pair, ...]:
@@ -161,16 +158,15 @@ def entails(S, D, Phi) -> bool:
     return True
 
 
-def find_entailment(Phi, r: int, k: int, available, i: int):
+def find_entailment(index: FamilyIndex, k: int, available, i: int):
     """Lex-first (S, D) with S drawn from available pairs, or None.
 
     S runs over k-subsets of the available pairs away from position i,
     ordered by position tuple; D runs over i-sets by size then contents.
-    The search only consults Phi and its arguments, so an encoder that
-    knows a member and a decoder that does not stay in lockstep. Phi is
-    the packed family or its FamilyIndex.
+    The search only consults the family and its arguments, so an encoder
+    that knows a member and a decoder that does not stay in lockstep.
     """
-    index = index_family(Phi)
+    r = index.r
     pool = _checked_pairs(((p, c) for p, c in available if p != i), r)
     i_pairs = [(i, c) for c in range(1, r + 1)]
     i_masks = index.masks(i_pairs)
@@ -207,7 +203,6 @@ def _guard(r: int, k: int) -> None:
 @dataclass(frozen=True)
 class TangledReport:
     tangled: bool
-    r: int
     k: int
     index: FamilyIndex = field(repr=False)  # the packed family, sorted, and its masks
     witness: tuple[Packed, int] | None
@@ -233,21 +228,21 @@ def is_tangled(family, k: int) -> TangledReport:
     """
     Phi, r = pack_family(family)
     _guard(r, k)
-    index = index_family(Phi)
+    index = index_family(Phi, r)
     certificates = {}
     for mu in index.members:
         pairs = _pairs_of(mu)
         for i in range(1, r + 1):
-            found = find_entailment(index, r, k, pairs, i)
+            found = find_entailment(index, k, pairs, i)
             if found is None:
-                return TangledReport(False, r, k, index, (mu, i), certificates)
+                return TangledReport(False, k, index, (mu, i), certificates)
             S, D = found
             if (i, mu[i - 1]) not in D or not entails(S, D, index.members):
                 raise VerificationError(
                     "certificate does not entail the member's own pair"
                 )
             certificates[(mu, i)] = found
-    return TangledReport(True, r, k, index, None, certificates)
+    return TangledReport(True, k, index, None, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +288,22 @@ class LimitConditionReport:
 
 
 def check_packed_limit_conditions(
-    mu: Packed, nu: Packed, Phi, k: int
+    mu: Packed, nu: Packed, index: FamilyIndex, k: int
 ) -> LimitConditionReport:
     """The two packed-level conditions that force unpack(mu) to be a limit.
 
-    P1: nu belongs to Phi and mu is nu with exactly one block emptied.
+    P1: nu belongs to the family and mu is nu with exactly one block emptied.
     P2: for the emptied position i, whenever forbidden contents C (with
     nu's own content among them) and pinned positions P share a budget
     of k, some member avoids C at i while matching nu on P.
 
     Any probe of at most k word positions either misses block i's a or
     translates into such a (C, P), so P1 and P2 make unpack(mu) a
-    k-limit of the unpacked family. Phi is the packed family or its
-    FamilyIndex.
+    k-limit of the unpacked family.
     """
-    index = index_family(Phi)
-    members = index.members
+    members, r = index.members, index.r
     if not members:
         return LimitConditionReport(False, "P1", "family is empty")
-    r = len(members[0])
     if len(mu) != r or len(nu) != r:
         return LimitConditionReport(False, "P1", "length mismatch with family")
     if nu not in members:
@@ -356,7 +348,7 @@ class MemberCode:
     digits: tuple[int, ...]  # index into the sorted i-set, one per derived position
 
 
-def _derive(index: FamilyIndex, r: int, k: int, specified: dict, content) -> bool:
+def _derive(index: FamilyIndex, k: int, specified: dict, content) -> bool:
     """Fill the smallest derivable position until all r are set; False on a stall.
 
     Position i gets content(i, D), D being the sorted i-set that
@@ -364,10 +356,11 @@ def _derive(index: FamilyIndex, r: int, k: int, specified: dict, content) -> boo
     encoder's replay and the decoder share this loop, so they stay in
     lockstep.
     """
+    r = index.r
     while len(specified) < r:
         for i in range(1, r + 1):
             if i not in specified:
-                found = find_entailment(index, r, k, specified.items(), i)
+                found = find_entailment(index, k, specified.items(), i)
                 if found is not None:
                     specified[i] = content(i, sorted(found[1]))
                     break
@@ -376,7 +369,7 @@ def _derive(index: FamilyIndex, r: int, k: int, specified: dict, content) -> boo
     return True
 
 
-def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
+def encode_member(index: FamilyIndex, k: int, mu: Packed) -> MemberCode:
     """Compress one member of a tangled family.
 
     A first pass walks the positions, always deriving the smallest one
@@ -387,16 +380,15 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
 
     A second pass replays the derivation exactly as the decoder will:
     only pairs already specified may be used, and each step records
-    which pair of the entailed i-set is the member's own. Phi is the
-    packed family or its FamilyIndex, indexed once for both passes.
+    which pair of the entailed i-set is the member's own.
     """
-    index = index_family(Phi)
+    r = index.r
     free: set[int] = set()
     covered: set[int] = set()
     full_pairs = _pairs_of(mu)
     while len(covered) < r:
         i = min(p for p in range(1, r + 1) if p not in covered)
-        found = find_entailment(index, r, k, full_pairs, i)
+        found = find_entailment(index, k, full_pairs, i)
         if found is None:
             raise NotTangledError(
                 f"member {mu} has no certificate at position {i}"
@@ -420,7 +412,7 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
         return mu[i - 1]
 
     specified = {p: mu[p - 1] for p in sorted(free)}
-    if not _derive(index, r, k, specified, own_content):
+    if not _derive(index, k, specified, own_content):
         raise VerificationError("derivation stalled although the walk succeeded")
     return MemberCode(
         free_positions=tuple(sorted(free)),
@@ -429,8 +421,9 @@ def encode_member(Phi, r: int, k: int, mu: Packed) -> MemberCode:
     )
 
 
-def decode_member(Phi, r: int, k: int, code: MemberCode) -> Packed:
+def decode_member(index: FamilyIndex, k: int, code: MemberCode) -> Packed:
     """Rebuild a member from its code; the inverse of encode_member."""
+    r = index.r
     if len(code.free_positions) != len(code.free_contents):
         raise PackError("free positions and contents differ in length")
     if list(code.free_positions) != sorted(set(code.free_positions)):
@@ -449,7 +442,7 @@ def decode_member(Phi, r: int, k: int, code: MemberCode) -> Packed:
         return D[z][1]
 
     specified = dict(zip(code.free_positions, code.free_contents))
-    if not _derive(index_family(Phi), r, k, specified, coded_content):
+    if not _derive(index, k, specified, coded_content):
         raise PackError("code does not derive all positions against this family")
     if next(stream, None) is not None:
         raise PackError("digit stream longer than the derivation")
@@ -464,8 +457,6 @@ def counting_bound(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class EncodingReport:
-    r: int
-    k: int
     family_size: int
     bound: int
     codes: dict = field(hash=False, repr=False, default_factory=dict)
@@ -489,25 +480,23 @@ def tangled_encoding(family, k: int) -> EncodingReport:
 
 def _encoding(report: TangledReport) -> EncodingReport:
     """Codes for every member of a family the report found tangled."""
-    index, r, k = report.index, report.r, report.k
-    Phi = index.members
+    index, k = report.index, report.k
+    members = index.members
     codes: dict[Packed, MemberCode] = {}
-    for mu in Phi:
-        code = encode_member(index, r, k, mu)
-        back = decode_member(index, r, k, code)
+    for mu in members:
+        code = encode_member(index, k, mu)
+        back = decode_member(index, k, code)
         if back != mu:
             raise VerificationError(f"decode(encode({mu})) = {back}")
         codes[mu] = code
-    if len(set(codes.values())) != len(Phi):
+    if len(set(codes.values())) != len(members):
         raise VerificationError("two members share a code")
-    bound = counting_bound(r, k)
-    if len(Phi) > bound:
+    bound = counting_bound(index.r, k)
+    if len(members) > bound:
         raise VerificationError(
-            f"tangled family of {len(Phi)} members exceeds the bound {bound}"
+            f"tangled family of {len(members)} members exceeds the bound {bound}"
         )
-    return EncodingReport(
-        r=r, k=k, family_size=len(Phi), bound=bound, codes=codes
-    )
+    return EncodingReport(family_size=len(members), bound=bound, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +506,6 @@ def _encoding(report: TangledReport) -> EncodingReport:
 @dataclass(frozen=True)
 class DichotomyResult:
     tangled: bool
-    r: int
-    k: int
     family_size: int
     limit: EntailmentLimit | None = None
     encoding: EncodingReport | None = None
@@ -533,15 +520,13 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     VerificationError. Exactly one side applies to any family.
     """
     report = is_tangled(family, k)
-    r, size = report.r, report.family_size
+    size = report.family_size
     if report.tangled:
-        return DichotomyResult(
-            tangled=True, r=r, k=k, family_size=size, encoding=_encoding(report)
-        )
+        return DichotomyResult(tangled=True, family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)
     conditions = check_packed_limit_conditions(limit.packed, limit.source, report.index, k)
     if not conditions.ok:
         raise VerificationError(
             f"limit conditions failed on a constructed limit: {conditions.detail}"
         )
-    return DichotomyResult(tangled=False, r=r, k=k, family_size=size, limit=limit)
+    return DichotomyResult(tangled=False, family_size=size, limit=limit)

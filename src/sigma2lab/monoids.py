@@ -94,10 +94,8 @@ class Morphism:
         )
 
 
-def transition_monoid(
-    d: Dfa, max_size: int = MONOID_SIZE_LIMIT
-) -> tuple[FiniteMonoid, Morphism]:
-    """Transition monoid of a minimal DFA, with its evaluation morphism.
+def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
+    """The evaluation morphism onto the transition monoid of a minimal DFA.
 
     Elements are state transformations discovered breadth-first from the
     identity, so indices are stable for a given DFA. Row s of the table
@@ -146,15 +144,13 @@ def transition_monoid(
     rows = [tuple(range(len(elements)))]  # row s: s t for every t
     for s in range(1, len(elements)):
         rows.append(tuple(map(left[first[s]].__getitem__, rows[suffix[s]])))
-    monoid = FiniteMonoid(size=len(rows), identity=0, table=tuple(rows))
-    morphism = Morphism(
+    return Morphism(
         alphabet=d.alphabet,
-        monoid=monoid,
+        monoid=FiniteMonoid(size=len(rows), identity=0, table=tuple(rows)),
         generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
         representative=tuple(words),
         action=tuple(elements),
     )
-    return monoid, morphism
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +159,12 @@ def transition_monoid(
 
 @dataclass(frozen=True)
 class OrderedMonoid:
-    """A monoid with a compatible partial order, as bitmask rows.
+    """A compatible partial order on a monoid's elements, as bitmask rows.
 
     leq_bits[s] has bit t set when s <= t, or, in the converse order,
     when t <= s.
     """
 
-    monoid: FiniteMonoid
     leq_bits: tuple[int, ...]
     converse: bool = False
 
@@ -215,7 +210,7 @@ def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
         above = [sum(lands[p] for p in up[q]) for q in range(n)]
         for s, image in enumerate(action):
             rows[s] &= above[image[r]]
-    return OrderedMonoid(monoid=morphism.monoid, leq_bits=tuple(rows))
+    return OrderedMonoid(leq_bits=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +228,7 @@ class Recognition:
 
     @property
     def monoid(self) -> FiniteMonoid:
-        return self.ordered.monoid
-
-    def member(self, w: str | Sequence[str]) -> bool:
-        return self.morphism.eval(w) in self.accepting
+        return self.morphism.monoid
 
     def complemented(self) -> "Recognition":
         """Recognition of the complement: same monoid, converse order.
@@ -255,7 +247,7 @@ class Recognition:
 def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     """Build the ordered syntactic monoid bundle for (the minimization of) d."""
     d = minimize(d)
-    _, morphism = transition_monoid(d, max_size=max_size)
+    morphism = transition_monoid(d, max_size=max_size)
     # element e is accepting iff it sends the initial state into F
     accepting = frozenset(
         e for e, image in enumerate(morphism.action) if image[d.initial] in d.accepting
@@ -463,13 +455,13 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
     return EquationVerdict(holds=True)
 
 
-def up_word_accepts(rec: Recognition, x: int, w) -> bool:
-    """Does the product of a monoid word (a reductions.MonoidWord) dominate x?
+def up_word_accepts(rec: Recognition, x: int, w: Sequence[int]) -> bool:
+    """Does the product of a word over the monoid's element indices dominate x?
 
     This makes threshold problems over the monoid ordinary languages over
     the finite alphabet of its elements.
     """
-    return rec.ordered.leq(x, rec.monoid.product(w.elements))
+    return rec.ordered.leq(x, rec.monoid.product(w))
 
 
 @dataclass(frozen=True)
@@ -490,16 +482,14 @@ class ClassReport:
         return self.sigma2.holds and self.pi2.holds
 
 
-def classify(
-    d: Dfa, description: str = "", max_size: int = MONOID_SIZE_LIMIT
-) -> ClassReport:
+def classify(d: Dfa, description: str = "") -> ClassReport:
     """Full classification of the language of d.
 
     sigma2 comes from the equation check on the language, pi2 from the
     same check on the complement (same monoid, converse order), delta2
     is their conjunction.
     """
-    return classify_recognition(recognize(d, max_size=max_size), description)
+    return classify_recognition(recognize(d), description)
 
 
 def classify_recognition(rec: Recognition, description: str = "") -> ClassReport:

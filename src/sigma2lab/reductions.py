@@ -7,11 +7,11 @@ with leading c's.
 
 The other direction starts from a failing equation pair (x, y) with a
 witness word and marked positions, factorizes the witness, and builds
-words over monoid elements. Good words wire to products equal to
-x, bad words to x y x, so any device separating the two wired images is
-separating good from bad. Deleting the x-slot of every segment turns
-each x-carrying word into the same y-word, which is the subword step
-the wiring leans on.
+words over monoid elements, plain tuples of element indices. Good words
+wire to products equal to x, bad words to x y x, so any device
+separating the two wired images is separating good from bad. Deleting
+the x-slot of every segment turns each x-carrying word into the same
+y-word, which is the subword step the wiring leans on.
 """
 
 from __future__ import annotations
@@ -51,29 +51,12 @@ def expansion(w: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# monoid words
-
-
-@dataclass(frozen=True)
-class MonoidWord:
-    """A word over the elements of a fixed monoid, as element indices."""
-
-    elements: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __add__(self, other: "MonoidWord") -> "MonoidWord":
-        return MonoidWord(self.elements + other.elements)
-
-
-# ---------------------------------------------------------------------------
 # factorizing a subword witness
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """h(word) written as x_1 y_1 x_2 y_2 ... x_t y_t.
+    """h(word) written as x_1 y_1 x_2 y_2 ... x_t y_t, with t = len(xs).
 
     The y_j are the images of the marked letters, the x_j the images of
     the gaps before them; a nonempty trailing gap contributes a final
@@ -81,7 +64,6 @@ class Factorization:
     of the marked subword.
     """
 
-    t: int
     xs: tuple[int, ...]
     ys: tuple[int, ...]
 
@@ -108,14 +90,14 @@ def factorize_subword_witness(
     if trailing or not pos:
         xs.append(morphism.eval(trailing))
         ys.append(ident)
-    return Factorization(t=len(xs), xs=tuple(xs), ys=tuple(ys))
+    return Factorization(xs=tuple(xs), ys=tuple(ys))
 
 
 # ---------------------------------------------------------------------------
 # the wired words
 
 
-def build_x_i(fact: Factorization, r: int, i: int) -> MonoidWord:
+def build_x_i(fact: Factorization, r: int, i: int) -> tuple[int, ...]:
     """The i-slot carrier: per factor j, segment 1^(i-1) x_j 1^(r-i) y_j.
 
     Every build_x_i evaluates to the same product x regardless of i;
@@ -129,19 +111,19 @@ def build_x_i(fact: Factorization, r: int, i: int) -> MonoidWord:
         elements.append(x_j)
         elements.extend([IDENTITY] * (r - i))
         elements.append(y_j)
-    return MonoidWord(tuple(elements))
+    return tuple(elements)
 
 
-def build_y(fact: Factorization, r: int) -> MonoidWord:
+def build_y(fact: Factorization, r: int) -> tuple[int, ...]:
     """The x-free variant: per factor j, segment 1^r y_j."""
     elements: list[int] = []
     for y_j in fact.ys:
         elements.extend([IDENTITY] * r)
         elements.append(y_j)
-    return MonoidWord(tuple(elements))
+    return tuple(elements)
 
 
-def t_good(fact: Factorization, r: int, indices) -> MonoidWord:
+def t_good(fact: Factorization, r: int, indices) -> tuple[int, ...]:
     """x-carriers for every block, sandwiched: evaluates to x itself."""
     idx = list(indices)
     if len(idx) != r or any(not (isinstance(i, int) and 1 <= i <= r) for i in idx):
@@ -152,7 +134,7 @@ def t_good(fact: Factorization, r: int, indices) -> MonoidWord:
     return word + build_x_i(fact, r, 1)
 
 
-def t_bad(fact: Factorization, r: int, indices, j: int) -> MonoidWord:
+def t_bad(fact: Factorization, r: int, indices, j: int) -> tuple[int, ...]:
     """Like t_good but block j carries no x: evaluates to x y x."""
     idx = list(indices)
     if len(idx) != r:
@@ -170,7 +152,7 @@ def t_bad(fact: Factorization, r: int, indices, j: int) -> MonoidWord:
     return word + build_x_i(fact, r, 1)
 
 
-def wiring(fact: Factorization, w: str) -> MonoidWord:
+def wiring(fact: Factorization, w: str) -> tuple[int, ...]:
     """Wire a block word letter by letter: b to identity, a to the x slot.
 
     Each block is replicated once per factor with its y_j appended, and
@@ -179,8 +161,8 @@ def wiring(fact: Factorization, w: str) -> MonoidWord:
     builders t_good and t_bad reproduce these words slot for slot.
     """
     r = block_count(len(w))
-    parts: list[int] = []
-    parts.extend(build_x_i(fact, r, 1).elements)
+    ends = build_x_i(fact, r, 1)
+    parts = list(ends)
     for b in range(r):
         block = w[b * r : (b + 1) * r]
         for x_j, y_j in zip(fact.xs, fact.ys):
@@ -192,8 +174,7 @@ def wiring(fact: Factorization, w: str) -> MonoidWord:
                 else:
                     raise PackError(f"letter {sym!r} is not a or b")
             parts.append(y_j)
-    parts.extend(build_x_i(fact, r, 1).elements)
-    return MonoidWord(tuple(parts))
+    return tuple(parts) + ends
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from sigma2lab.languages import (
     minimize,
 )
 from sigma2lab.monoids import FiniteMonoid, Morphism
-from sigma2lab.reductions import MonoidWord
 
 # ---------------------------------------------------------------------------
 # patterns by recursive descent, one method per grammar rule
@@ -276,7 +275,7 @@ def moore_state_count(d) -> int:
 
 
 def bfs_transition_monoid(d, max_size):
-    """Transition monoid and morphism, every product composed and hashed.
+    """The morphism onto the transition monoid, every product composed and hashed.
 
     The same breadth-first closure as the package, but each of the M^2
     table cells composes two state maps and looks the result up.
@@ -307,15 +306,13 @@ def bfs_transition_monoid(d, max_size):
     table = tuple(
         tuple(index[tuple(t[q] for q in s)] for t in elements) for s in elements
     )
-    monoid = FiniteMonoid(size=len(elements), identity=0, table=table)
-    morphism = Morphism(
+    return Morphism(
         alphabet=d.alphabet,
-        monoid=monoid,
+        monoid=FiniteMonoid(size=len(elements), identity=0, table=table),
         generator={sym: index[gens[sym]] for sym in d.alphabet},
         representative=tuple(words),
         action=tuple(elements),
     )
-    return monoid, morphism
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +378,8 @@ def monoid_law_failure(monoid):
     return None
 
 
-def order_law_failure(ordered):
-    """The first partial-order or compatibility law broken, or None."""
-    m = ordered.monoid
+def order_law_failure(m, ordered):
+    """The first partial-order or compatibility law the order on m breaks, or None."""
     leq = ordered.leq
     for s in range(m.size):
         if not leq(s, s):
@@ -760,12 +756,10 @@ def circuit_to_json(c) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def delete_x_letters(word: MonoidWord, r: int, i: int) -> MonoidWord:
+def delete_x_letters(word: tuple[int, ...], r: int, i: int) -> tuple[int, ...]:
     """Blank the x slot of every segment; build_x_i collapses to build_y.
 
     Deletion is positional: the letter at offset i of each length r+1
     segment is replaced by the identity, element 0.
     """
-    return MonoidWord(
-        tuple(0 if idx % (r + 1) == i - 1 else e for idx, e in enumerate(word.elements))
-    )
+    return tuple(0 if idx % (r + 1) == i - 1 else e for idx, e in enumerate(word))

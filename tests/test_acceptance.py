@@ -40,6 +40,7 @@ from sigma2lab.entailment import (
     bad_limit_via_entailment,
     check_packed_limit_conditions,
     dichotomy_suite,
+    index_family,
 )
 from sigma2lab.errors import PackError
 from sigma2lab.flowers import bad_limit_via_flower, verify_flower
@@ -201,11 +202,11 @@ def test_criterion_7():
         for _ in range(60):
             indices = tuple(rng.randint(1, r) for _ in range(r))
             good_word = t_good(fact, r, indices)
-            assert m.product(good_word.elements) == x
+            assert m.product(good_word) == x
             assert up_word_accepts(rec, x, good_word)
             j = rng.randint(1, r)
             bad_word = t_bad(fact, r, indices, j)
-            assert m.product(bad_word.elements) == xyx
+            assert m.product(bad_word) == xyx
             assert not up_word_accepts(rec, x, bad_word)
             sampled += 1
     assert sampled >= 100
@@ -273,7 +274,7 @@ def test_criterion_10():
         nu = rng.choice(members)
         i = rng.randint(1, 3)
         mu = nu[: i - 1] + (None,) + nu[i:]
-        report = check_packed_limit_conditions(mu, nu, members, 1)
+        report = check_packed_limit_conditions(mu, nu, index_family(members, 3), 1)
         if not report.ok:
             continue
         holding += 1
@@ -293,23 +294,23 @@ def test_criterion_10():
             broken = [m for m in members if m != nu] or [nu]
             if broken == [nu]:
                 continue
-            report = check_packed_limit_conditions(mu, nu, broken, 1)
+            report = check_packed_limit_conditions(mu, nu, index_family(broken, 3), 1)
             expected = "P1"
         elif kind == 1:  # two emptied blocks
             j = i % 3 + 1
             mu2 = tuple(
                 None if p in (i, j) else nu[p - 1] for p in range(1, 4)
             )
-            report = check_packed_limit_conditions(mu2, nu, members, 1)
+            report = check_packed_limit_conditions(mu2, nu, index_family(members, 3), 1)
             expected = "P1"
         elif kind == 2:  # difference without emptying
             other = nu[i - 1] % 3 + 1
             mu2 = nu[: i - 1] + (other,) + nu[i:]
-            report = check_packed_limit_conditions(mu2, nu, members, 1)
+            report = check_packed_limit_conditions(mu2, nu, index_family(members, 3), 1)
             expected = "P1"
         else:  # family starved of variety at the emptied position
             starved = [m for m in members if m[i - 1] == nu[i - 1]]
-            report = check_packed_limit_conditions(mu, nu, starved, 1)
+            report = check_packed_limit_conditions(mu, nu, index_family(starved, 3), 1)
             expected = "P2"
         assert not report.ok
         assert report.failed == expected, (kind, report)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import brute_is_k_limit
+from sigma2lab import blockwords
 from sigma2lab.blockwords import (
     agree_on,
     block_count,
@@ -81,6 +82,16 @@ def test_good_word_counts():
     assert len(enumerate_good(1)) == 1
     assert len(enumerate_good(9)) == 27
     assert len(enumerate_good(16)) == 256
+
+
+def test_a_good_family_beyond_the_work_limit_is_refused_unbuilt(monkeypatch):
+    monkeypatch.setattr(blockwords, "K_LIMIT_WORK_LIMIT", 27)
+    assert len(enumerate_good(9)) == 27
+    monkeypatch.setattr(blockwords, "K_LIMIT_WORK_LIMIT", 100)
+    with pytest.raises(SearchBudgetError, match=r"length 16 has 4\*\*4 words"):
+        enumerate_good(16)
+    with pytest.raises(SearchBudgetError):
+        enumerate_good(10**40)  # r = 10**20, refused without taking r**r
 
 
 def test_bad_words_of_length_nine():

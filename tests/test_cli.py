@@ -1,17 +1,21 @@
 """Command line behavior: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from oracles import circuit_to_json
-from sigma2lab import cli, monoids
+from sigma2lab import blockwords, cli, monoids
 from sigma2lab.circuits import demo_accept_all
 from sigma2lab.cli import main
 from sigma2lab.errors import VerificationError
 
 K_PATTERN = "(ac*b+c)*"
+# exit code and stdout sha256 of every command the cli-cold benchmark runs
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli_cold.json"
 
 
 @pytest.fixture()
@@ -223,6 +227,23 @@ def test_tangled_good_family_gives_limit(runner):
         "limit_word": "bbbabbabb",
     }
     assert payload["verification"] == {"not_good": True, "k_limit": True, "passed": True}
+
+
+@pytest.mark.parametrize(
+    "limit, n, words",
+    [(100, "16", "4**4"), (None, str(10**40), f"{10**20}**{10**20}")],
+)
+def test_an_oversized_good_family_exits_three_before_it_is_built(
+    runner, monkeypatch, limit, n, words
+):
+    if limit is not None:
+        monkeypatch.setattr(blockwords, "K_LIMIT_WORK_LIMIT", limit)
+    result = runner.invoke(main, ["lab", "flower", "--n", n, "--p", "2"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"too large: the good family of length {n} has {words} words, beyond desk scale\n"
+    )
 
 
 def test_tangled_degenerate_k_exits_two(runner):
@@ -509,7 +530,7 @@ def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
     # no element lies below any other, not even itself, so x <= xyx is
     # denied for x = y = 1, where no context can separate
     def empty_rows(d, morphism):
-        return monoids.OrderedMonoid(morphism.monoid, (0,) * morphism.monoid.size)
+        return monoids.OrderedMonoid((0,) * morphism.monoid.size)
 
     monkeypatch.setattr(monoids, "syntactic_order", empty_rows)
     result = runner.invoke(main, ["analyze", K_PATTERN, "--alphabet", "abc"])
@@ -529,3 +550,15 @@ def test_bare_group_prints_its_help_like_the_bare_top_group(runner, group):
     assert f" {group} [OPTIONS] COMMAND [ARGS]..." in result.output
     assert main.commands[group].help.splitlines()[0] in result.output
     assert "usage error" not in result.output
+
+
+def test_every_recorded_command_prints_its_recorded_bytes(runner):
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))
+    assert recorded
+    differ = []
+    for key, want in recorded.items():
+        result = runner.invoke(main, json.loads(key))
+        got = (result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest())
+        if got != (want["exit"], want["sha256"]):
+            differ.append(key)
+    assert differ == [], f"commands whose exit code or stdout changed: {differ}"

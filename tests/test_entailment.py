@@ -22,6 +22,7 @@ from sigma2lab.entailment import (
     encode_member,
     entails,
     find_entailment,
+    index_family,
     is_tangled,
     pack_family,
     tangled_encoding,
@@ -107,14 +108,14 @@ def test_entails_i_set_content_clash():
 
 def test_find_entailment_lex_first():
     phi = [(1, 1), (2, 2)]
-    found = find_entailment(phi, 2, 1, [(1, 1), (2, 1)], 2)
+    found = find_entailment(index_family(phi, 2), 1, [(1, 1), (2, 1)], 2)
     assert found == (((1, 1),), ((2, 1),))
 
 
 def test_find_entailment_none_on_good_family():
     mu = PHI4[0]
     pairs = [(1, mu[0]), (2, mu[1])]
-    assert find_entailment(PHI4, 2, 1, pairs, 1) is None
+    assert find_entailment(index_family(PHI4, 2), 1, pairs, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def test_good4_not_tangled():
     assert not report.tangled
     assert report.witness == ((1, 1), 1)
     assert report.family_size == 4
-    assert report.r == 2
+    assert report.index.r == 2
 
 
 def test_two_member_diagonal_tangled():
@@ -199,34 +200,34 @@ def test_limit_none_when_tangled():
 
 
 def test_conditions_hold_on_constructed_limit():
-    phi, _ = pack_family(GOOD9)
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), phi, 1)
+    phi, r = pack_family(GOOD9)
+    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family(phi, r), 1)
     assert report.ok
 
 
 def test_conditions_reject_two_empty_blocks():
-    phi, _ = pack_family(GOOD9)
-    report = check_packed_limit_conditions((None, None, 1), (1, 1, 1), phi, 1)
+    phi, r = pack_family(GOOD9)
+    report = check_packed_limit_conditions((None, None, 1), (1, 1, 1), index_family(phi, r), 1)
     assert not report.ok
     assert report.failed == "P1"
 
 
 def test_conditions_reject_foreign_source():
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), [(2, 2, 2)], 1)
+    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(2, 2, 2)], 3), 1)
     assert not report.ok
     assert report.failed == "P1"
 
 
 def test_conditions_reject_singleton_family():
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), [(1, 1, 1)], 1)
+    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(1, 1, 1)], 3), 1)
     assert not report.ok
     assert report.failed == "P2"
     assert report.counterexample is not None
 
 
 def test_conditions_reject_unemptied_difference():
-    phi, _ = pack_family(GOOD9)
-    report = check_packed_limit_conditions((2, 1, 1), (1, 1, 1), phi, 1)
+    phi, r = pack_family(GOOD9)
+    report = check_packed_limit_conditions((2, 1, 1), (1, 1, 1), index_family(phi, r), 1)
     assert not report.ok
     assert report.failed == "P1"
 
@@ -240,7 +241,7 @@ def test_conditions_imply_limit_on_random_triples():
         nu = rng.choice(members)
         i = rng.randint(1, r)
         mu = nu[: i - 1] + (None,) + nu[i:]
-        report = check_packed_limit_conditions(mu, nu, members, 1)
+        report = check_packed_limit_conditions(mu, nu, index_family(members, r), 1)
         if report.ok:
             u = unpack(mu)
             fam = [unpack(m) for m in members]
@@ -254,22 +255,22 @@ def test_conditions_imply_limit_on_random_triples():
 
 def test_encode_diagonal_member():
     phi, r = pack_family(DIAG9)
-    code = encode_member(phi, r, 1, (1, 1, 1))
+    code = encode_member(index_family(phi, r), 1, (1, 1, 1))
     assert code == MemberCode(free_positions=(2,), free_contents=(1,), digits=(0, 0))
-    assert decode_member(phi, r, 1, code) == (1, 1, 1)
+    assert decode_member(index_family(phi, r), 1, code) == (1, 1, 1)
 
 
 def test_encoding_free_share_bound():
     phi, r = pack_family(DIAG9)
     for mu in phi:
-        code = encode_member(phi, r, 1, mu)
+        code = encode_member(index_family(phi, r), 1, mu)
         assert len(code.free_positions) * 2 <= r  # k/(k+1) of r at k=1
 
 
 def test_encode_requires_tangled():
     phi, r = pack_family(GOOD4)
     with pytest.raises(NotTangledError):
-        encode_member(phi, r, 1, (1, 1))
+        encode_member(index_family(phi, r), 1, (1, 1))
 
 
 def test_tangled_encoding_two_members():
@@ -279,7 +280,7 @@ def test_tangled_encoding_two_members():
     assert len(set(report.codes.values())) == 2
     for mu, code in report.codes.items():
         assert len(code.free_positions) <= 1
-        assert decode_member([(1, 1), (2, 2)], 2, 1, code) == mu
+        assert decode_member(index_family([(1, 1), (2, 2)], 2), 1, code) == mu
 
 
 def test_tangled_encoding_rejects_untangled():
@@ -288,18 +289,18 @@ def test_tangled_encoding_rejects_untangled():
 
 
 def test_decode_rejects_malformed_codes():
-    phi, r = pack_family(DIAG9)
-    good = encode_member(phi, r, 1, (2, 2, 2))
+    index = index_family(*pack_family(DIAG9))
+    good = encode_member(index, 1, (2, 2, 2))
     with pytest.raises(PackError):
-        decode_member(phi, r, 1, MemberCode((2, 1), good.free_contents + (1,), (0, 0)))
+        decode_member(index, 1, MemberCode((2, 1), good.free_contents + (1,), (0, 0)))
     with pytest.raises(PackError):
-        decode_member(phi, r, 1, MemberCode((9,), (1,), (0, 0)))
+        decode_member(index, 1, MemberCode((9,), (1,), (0, 0)))
     with pytest.raises(PackError):
-        decode_member(phi, r, 1, MemberCode(good.free_positions, good.free_contents, (0,)))
+        decode_member(index, 1, MemberCode(good.free_positions, good.free_contents, (0,)))
     with pytest.raises(PackError):
-        decode_member(phi, r, 1, MemberCode(good.free_positions, good.free_contents, (0, 5)))
+        decode_member(index, 1, MemberCode(good.free_positions, good.free_contents, (0, 5)))
     with pytest.raises(PackError):
-        decode_member(phi, r, 1, MemberCode(good.free_positions, good.free_contents, (0, 0, 0)))
+        decode_member(index, 1, MemberCode(good.free_positions, good.free_contents, (0, 0, 0)))
 
 
 def test_counting_bound_values():

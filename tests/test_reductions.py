@@ -67,7 +67,7 @@ def test_expansion_of_bad_word_leaves_language(k_lang):
 def test_factorize_interior_positions(k_rec):
     h = k_rec.morphism
     fact = factorize_subword_witness(h, "abab", (2, 3))
-    assert fact == Factorization(t=3, xs=(1, 0, 2), ys=(2, 1, 0))
+    assert fact == Factorization(xs=(1, 0, 2), ys=(2, 1, 0))
     m = k_rec.monoid
     prod = m.identity
     for x, y in zip(fact.xs, fact.ys):
@@ -79,17 +79,17 @@ def test_factorize_interior_positions(k_rec):
 
 def test_factorize_single_position(k_rec):
     fact = factorize_subword_witness(k_rec.morphism, "ab", (1,))
-    assert fact == Factorization(t=2, xs=(0, 2), ys=(1, 0))
+    assert fact == Factorization(xs=(0, 2), ys=(1, 0))
 
 
 def test_factorize_empty_positions(k_rec):
     fact = factorize_subword_witness(k_rec.morphism, "ab", ())
-    assert fact == Factorization(t=1, xs=(4,), ys=(0,))
+    assert fact == Factorization(xs=(4,), ys=(0,))
 
 
 def test_factorize_all_positions(k_rec):
     fact = factorize_subword_witness(k_rec.morphism, "ab", (1, 2))
-    assert fact == Factorization(t=2, xs=(0, 0), ys=(1, 2))
+    assert fact == Factorization(xs=(0, 0), ys=(1, 2))
 
 
 def test_factorize_position_guards(k_rec):
@@ -125,8 +125,8 @@ def fact_ab(k_rec):
 
 def test_build_x_i_layout(fact_ab):
     w = build_x_i(fact_ab, 3, 2)
-    assert w.elements == (0, 0, 0, 1, 0, 2, 0, 0)
-    assert len(w) == fact_ab.t * 4
+    assert w == (0, 0, 0, 1, 0, 2, 0, 0)
+    assert len(w) == len(fact_ab.xs) * 4
 
 
 def test_build_x_i_slot_guard(fact_ab):
@@ -141,7 +141,7 @@ def test_every_slot_evaluates_to_x(k_rec, fact_ab):
     x = k_rec.morphism.eval("ab")
     for r in (2, 3, 4):
         for i in range(1, r + 1):
-            assert m.product(build_x_i(fact_ab, r, i).elements) == x
+            assert m.product(build_x_i(fact_ab, r, i)) == x
 
 
 def test_build_y_evaluates_to_y(k_rec, fact_ab):
@@ -149,8 +149,8 @@ def test_build_y_evaluates_to_y(k_rec, fact_ab):
     y = k_rec.morphism.eval("a")
     for r in (2, 3):
         w = build_y(fact_ab, r)
-        assert len(w) == fact_ab.t * (r + 1)
-        assert m.product(w.elements) == y
+        assert len(w) == len(fact_ab.xs) * (r + 1)
+        assert m.product(w) == y
 
 
 def test_delete_x_letters_reaches_build_y(fact_ab):
@@ -164,8 +164,8 @@ def test_t_good_evaluates_to_x(k_rec, fact_ab):
     x = k_rec.morphism.eval("ab")
     for packed in [pack(w) for w in enumerate_good(9)]:
         word = t_good(fact_ab, 3, packed)
-        assert len(word) == 5 * fact_ab.t * 4
-        assert m.product(word.elements) == x
+        assert len(word) == 5 * len(fact_ab.xs) * 4
+        assert m.product(word) == x
 
 
 def test_t_bad_evaluates_to_xyx(k_rec, fact_ab):
@@ -178,7 +178,7 @@ def test_t_bad_evaluates_to_xyx(k_rec, fact_ab):
         j = packed.index(None) + 1
         indices = [c if c is not None else 1 for c in packed]
         word = t_bad(fact_ab, 3, indices, j)
-        assert m.product(word.elements) == xyx
+        assert m.product(word) == xyx
 
 
 def test_t_good_shape_guards(fact_ab):
@@ -214,8 +214,8 @@ def test_wiring_two_block_words(k_rec, fact_ab):
     m = k_rec.monoid
     x = k_rec.morphism.eval("ab")
     y = k_rec.morphism.eval("a")
-    assert m.product(wiring(fact_ab, "abba").elements) == x
-    assert m.product(wiring(fact_ab, "abbb").elements) == m.mul(m.mul(x, y), x)
+    assert m.product(wiring(fact_ab, "abba")) == x
+    assert m.product(wiring(fact_ab, "abbb")) == m.mul(m.mul(x, y), x)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ re-exports nothing, so it vouches for no name. Names that only tests
 reach belong in the tests, next to the test or in tests/oracles.py.
 cli.py is exempt: click registers its commands by decorator, so
 nothing names them.
+
+The same holds for every public method and property of a class there,
+but only an attribute read (x.member) or a dotted string naming it
+counts: a bare name or a dict key such as "member" does not.
 """
 
 import ast
@@ -45,31 +49,81 @@ def _referenced(tree: ast.Module) -> set[str]:
     return found
 
 
+def _methods(tree: ast.Module) -> list[str]:
+    """Class.name for every public method and property of a module-level class."""
+    return [
+        f"{stmt.name}.{item.name}"
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        for item in stmt.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    """Attributes read, and the parts of dotted strings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if "." in node.value and DOTTED.fullmatch(node.value):
+                found.update(node.value.split("."))
+    return found
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def unreached_names() -> list[str]:
-    """module.name for every public name nothing outside the tests reaches."""
-    users = [
-        path
+def _users() -> list[ast.Module]:
+    return [
+        _parse(path)
         for folder in ("src", "demos", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
         if "tests" not in path.relative_to(ROOT).parts
     ]
-    referenced = set().union(*(_referenced(_parse(path)) for path in users))
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
     return [
-        f"{path.stem}.{name}"
+        (path.stem, _parse(path))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name not in ("__init__.py", "cli.py")
-        for name in _defined(_parse(path))
+    ]
+
+
+def unreached_names() -> list[str]:
+    """module.name for every public name nothing outside the tests reaches."""
+    referenced = set().union(*map(_referenced, _users()))
+    return [
+        f"{stem}.{name}"
+        for stem, tree in _modules()
+        for name in _defined(tree)
         if name not in referenced
+    ]
+
+
+def unreached_methods() -> list[str]:
+    """module.Class.name for every public method nothing outside the tests reads."""
+    read = set().union(*map(_attributes_read, _users()))
+    return [
+        f"{stem}.{method}"
+        for stem, tree in _modules()
+        for method in _methods(tree)
+        if method.split(".")[1] not in read
     ]
 
 
 def test_every_public_name_is_reached_outside_the_tests():
     unreached = unreached_names()
     assert unreached == [], f"public names only the tests reach: {unreached}"
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    unreached = unreached_methods()
+    assert unreached == [], f"public methods only the tests read: {unreached}"
 
 
 def test_the_scan_sees_definitions_and_references():
@@ -80,3 +134,14 @@ def test_the_scan_sees_definitions_and_references():
     assert _defined(tree) == ["A", "f", "C", "S", "T"]
     assert {"y", "g", "mod", "D", "meth"} <= _referenced(tree)
     assert not {"A", "f", "C", "sentence"} & _referenced(tree)
+
+
+def test_the_method_scan_counts_attribute_reads_and_dotted_strings_only():
+    tree = ast.parse(
+        "class C:\n    def m(self): pass\n    @property\n    def p(self): pass\n"
+        "    def _q(self): pass\n    def __len__(self): return 0\n"
+        "x.a\nx.b = 1\nd = {'member': 1}\nS = 'mod.C.meth'\nmember\n"
+    )
+    assert _methods(tree) == ["C.m", "C.p"]
+    assert {"a", "mod", "C", "meth"} <= _attributes_read(tree)
+    assert not {"b", "member"} & _attributes_read(tree)
