@@ -24,6 +24,7 @@ import click
 
 from .blockwords import (
     agree_on,
+    block_count,
     enumerate_good,
     is_good,
     k_limit_counterexample,
@@ -42,7 +43,7 @@ from .circuits import (
     eval_and,
     eval_circuit,
 )
-from .entailment import bad_limit_via_entailment, dichotomy_suite
+from .entailment import bad_limit_via_entailment, check_search_budget, dichotomy_suite
 from .errors import (
     MonoidSizeError,
     RegexSyntaxError,
@@ -168,15 +169,21 @@ def lab() -> None:
     """Limits, flowers, tangled families, and the dichotomy."""
 
 
-def _parse_family(n: int | None, family: str, default_n: int) -> tuple[int, list[str]]:
+def _parse_family(
+    n: int | None, family: str, default_n: int, k: int | None = None
+) -> tuple[int, list[str]]:
     """The word length and the words of a family.
 
     The keyword good takes n from --n, or default_n when --n is not
-    given. Packed members split on ';', or words on ',', fix n as their
-    common length, and a given --n that disagrees is a usage error.
+    given; with k given, a good family that the tangledness search would
+    refuse is refused before it is built. Packed members split on ';', or
+    words on ',', fix n as their common length, and a given --n that
+    disagrees is a usage error.
     """
     if family == "good":
         n = default_n if n is None else n
+        if k is not None:
+            check_search_budget(block_count(n), k)
         return n, enumerate_good(n)
     if ";" in family or "_" in family or any(ch.isdigit() for ch in family):
         words = [unpack(packed_from_str(part)) for part in family.split(";")]
@@ -286,7 +293,7 @@ def tangled(
     n: int | None, k: int, family: str, sample: int, seed: int, as_json: bool
 ) -> None:
     """Decide tangledness; each verdict ships with its consequence."""
-    n, words = _parse_family(n, family, 9)
+    n, words = _parse_family(n, family, 9, k)
     words = _sampled(words, sample, seed)
     result = dichotomy_suite(words, k)
     payload: dict = {
@@ -326,6 +333,8 @@ def tangled(
 @json_option
 def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:
     """Run sampled families through both sides of the dichotomy."""
+    if samples:  # refused before the family is built
+        check_search_budget(block_count(n), k)
     pool = enumerate_good(n)
     rng = random.Random(seed)
     results = []

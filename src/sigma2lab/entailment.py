@@ -187,7 +187,8 @@ def _pairs_of(mu: Packed) -> tuple[Pair, ...]:
     return tuple((p, mu[p - 1]) for p in range(1, len(mu) + 1))
 
 
-def _guard(r: int, k: int) -> None:
+def check_search_budget(r: int, k: int) -> None:
+    """Refuse a degenerate k, then an r or k beyond MAX_R or MAX_K."""
     if k < 1:
         raise DegeneracyError("k must be at least 1")
     if k > r - 1:
@@ -227,7 +228,7 @@ def is_tangled(family, k: int) -> TangledReport:
     from it without packing, indexing or searching again.
     """
     Phi, r = pack_family(family)
-    _guard(r, k)
+    check_search_budget(r, k)
     index = index_family(Phi, r)
     certificates = {}
     for mu in index.members:

@@ -4,30 +4,26 @@ The transition monoid of a minimal DFA is computed by breadth-first
 closure over the generator transformations, so element 0 is always the
 identity and every element keeps its state transformation and a shortest
 representative word (ties broken lexicographically by the alphabet
-order). Its table is read off the Cayley graphs of that closure
-(Froidure & Pin, Algorithms for computing finite semigroups, 1997). The
-syntactic order is "more accepting is larger": s <= t when every context
-(p, q) with p s q accepting also has p t q accepting, so the image of
-the language is an upper set. It is read off the states ordered by
-inclusion of their residuals (the language each state accepts): s <= t
-iff r s <= r t for every state r (Pin, Syntactic semigroups, 1997).
-The complement has the same monoid and the converse order (s <= t for
-the complement iff t <= s for the language), so its order is the same
-rows read the other way, never computed a second time.
+order). Its table and its J-classes are read off the Cayley graphs of
+that closure (Froidure & Pin, Algorithms for computing finite
+semigroups, 1997). The syntactic order is "more accepting is larger":
+s <= t when every context accepting s accepts t. It is read off the
+states ordered by inclusion of their residuals, s <= t iff r s <= r t
+for every state r (Pin, Syntactic semigroups, 1997), and reversed for
+the complement.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
-over ordered positions, existential first) is decided by one equation
-schema over the ordered monoid: for every idempotent x and every y that
-the monoid-level subword relation pairs with x, x <= x y x must hold.
-pi2 is the same check on the complement, delta2 the conjunction. The
-relation is kept as one bitset of companions per element; a witness
-word is built only for the pair a failing verdict reports.
+over ordered positions, existential first) holds iff x <= x y x for
+every idempotent x and every y that the monoid-level subword relation
+pairs with x; pi2 is the check on the complement, delta2 both. A
+J-class shares one bitset of companions (the x paired with a y form an
+ideal), and its idempotents are conjugate, so both run once per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -81,6 +77,7 @@ class Morphism:
     generator: dict[str, int] = field(hash=False)
     representative: tuple[Word, ...]  # shortest word per element, lex-minimal
     action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
+    j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
 
     def image(self, sym: str) -> int:
         try:
@@ -89,9 +86,7 @@ class Morphism:
             raise UnknownSymbolError(f"symbol {sym!r} not in alphabet") from None
 
     def eval(self, w: str | Sequence[str]) -> int:
-        return self.monoid.product(
-            self.image(sym) for sym in as_word(w, self.alphabet)
-        )
+        return self.monoid.product(map(self.image, as_word(w, self.alphabet)))
 
 
 def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
@@ -150,7 +145,39 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
         generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
         representative=tuple(words),
         action=tuple(elements),
+        j_class=_j_classes(len(rows), right + left),
     )
+
+
+def _j_classes(size: int, edges: list[list[int]]) -> tuple[int, ...]:
+    """Tarjan's strongly connected components of s -> step[s], step in edges.
+
+    On both Cayley graphs these are the J-classes (t is reachable from s
+    iff t is in M s M), numbered so that the identity's is 0 and each
+    class comes before the classes below it.
+    """
+    successors = list(zip(*edges)) or [()]
+    order, low, closed = [0] + [-1] * (size - 1), [0] * size, [-1] * size
+    ticks, done, stack, work = count(1), 0, [0], [(0, iter(successors[0]))]
+    while work:
+        s, ts = work[-1]
+        for t in ts:
+            if order[t] < 0:  # discovered: descend into t
+                order[t] = low[t] = next(ticks)
+                stack.append(t)
+                work.append((t, iter(successors[t])))
+                break
+            if closed[t] < 0 and order[t] < low[s]:  # t is still on the stack
+                low[s] = order[t]
+        else:
+            work.pop()
+            if work and low[s] < low[work[-1][0]]:
+                low[work[-1][0]] = low[s]
+            if low[s] == order[s]:  # s roots a component: close it
+                while closed[s] < 0:
+                    closed[stack.pop()] = done
+                done += 1
+    return tuple(done - 1 - c for c in closed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +219,33 @@ def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
         for q, p in enumerate(image):
             if p in d.accepting:
                 into_f[q] |= 1 << t
-    for q, r in combinations(range(n), 2):
-        if into_f[q] == into_f[r]:
-            raise AntisymmetryError(
-                f"states {q} and {r} accept the same language; "
-                "the source DFA was not minimal"
-            )
-    # up[q]: the states r with q <= r
-    up = [[r for r in range(n) if not into_f[q] & ~into_f[r]] for q in range(n)]
-
+    if len(set(into_f)) < n:
+        q, r = next((q, r) for q, r in combinations(range(n), 2) if into_f[q] == into_f[r])
+        raise AntisymmetryError(
+            f"states {q} and {r} accept the same language; the source DFA was not minimal"
+        )
+    # up[q]: the states r with q <= r, as a bitset over states
+    up = [sum(1 << r for r in range(n) if not f & ~into_f[r]) for f in into_f]
+    by_size = sorted(range(n), key=lambda q: -into_f[q].bit_count())  # above comes first
+    # (q, p) with p just above q, q by decreasing residual; a state in between is met first
+    covers = []
+    for q in by_size:
+        covered = 1 << q
+        for p in reversed(by_size):
+            if up[q] >> p & 1 and not covered >> p & 1:
+                covers.append((q, p))
+                covered |= up[p]
     rows = [-1] * len(action)
     for r in range(n):
-        # lands[q]: bit t set iff element t sends state r to q
-        lands = [0] * n
-        for t, image in enumerate(action):
-            lands[image[r]] |= 1 << t
-        above = [sum(lands[p] for p in up[q]) for q in range(n)]
-        for s, image in enumerate(action):
-            rows[s] &= above[image[r]]
+        # above[q]: the elements sending state r to q, then, through the
+        # covers of q (done before q), to q or any state above it
+        column = [image[r] for image in action]
+        above = [0] * n
+        for t, q in enumerate(column):
+            above[q] |= 1 << t
+        for q, p in covers:
+            above[q] |= above[p]
+        rows = [row & above[q] for row, q in zip(rows, column)]
     return OrderedMonoid(leq_bits=tuple(rows))
 
 
@@ -258,10 +294,8 @@ def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
 
 def neutral_letters(rec: Recognition) -> frozenset[str]:
     """Letters whose image is the identity; they never affect membership."""
-    ident = rec.monoid.identity
-    return frozenset(
-        sym for sym in rec.morphism.alphabet if rec.morphism.image(sym) == ident
-    )
+    h = rec.morphism
+    return frozenset(sym for sym in h.alphabet if h.image(sym) == h.monoid.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +333,52 @@ class SubwordRelation:
 
 def _members(bits: int) -> list[int]:
     """The indices of the set bits, ascending."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    return [i for i, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
 
 
 def subword_relation(morphism: Morphism) -> SubwordRelation:
     """The submonoid of M x M generated by (h(a), h(a)) and (h(a), 1).
 
-    A worklist closes {(1, 1)} under right multiplication by the
-    generator pairs, one bitset of companions per x; only the bits new
-    to x since it was last processed are pushed on.
+    With (x, y) it holds (g x, y) and (x g, y), so a J-class shares its
+    companions Y, and the closure of {(1, 1)} under the generator pairs
+    runs over classes: Y gives Y and Y g to the class of x g, x in the
+    class. From the top down, each class takes in what the classes above
+    give, closes under the generators that keep it in place, and gives to
+    the classes below; they inherit the images Y g and compute their own.
     """
-    table = morphism.monoid.table
-    gens = set(morphism.generator.values())
-    one = morphism.monoid.identity
-    companions = [0] * morphism.monoid.size
-    companions[one] = 1 << one
-    new = {one: 1 << one}  # x -> its companions not yet pushed on
-    while new:
-        x, delta = new.popitem()
-        ys = _members(delta)
-        for g in gens:
-            # (x, y)(g, 1) = (xg, y) and (x, y)(g, g) = (xg, yg)
-            xg = table[x][g]
-            grown = delta
-            for y in ys:
-                grown |= 1 << table[y][g]
-            grown &= ~companions[xg]
-            if grown:
-                companions[xg] |= grown
-                new[xg] = new.get(xg, 0) | grown
-    return SubwordRelation(tuple(companions))
+    table, j_class = morphism.monoid.table, morphism.j_class
+    gens = sorted(set(morphism.generator.values()))
+    # moves[c][i]: the classes of x gens[i] for x in class c
+    moves = [[set() for _ in gens] for _ in range(max(j_class) + 1)]
+    for x, c in enumerate(j_class):
+        for i, g in enumerate(gens):
+            moves[c][i].add(j_class[table[x][g]])
+    # found[c]: the companions class c has so far; images[c][i]: known[c] gens[i]
+    found = [1 << morphism.monoid.identity] + [0] * (len(moves) - 1)
+    known = [0] * len(moves)
+    images: list = [[0] * len(gens) for _ in moves]
+    for c, targets in enumerate(moves):
+        stay = [i for i, to in enumerate(targets) if c in to]
+        given, own = images[c], found[c]
+        delta = own & ~known[c]
+        while delta:  # close under the generators that keep the class in place
+            for y in _members(delta):
+                for i, g in enumerate(gens):
+                    given[i] |= 1 << table[y][g]
+            grown = 0
+            for i in stay:
+                grown |= given[i]
+            delta = grown & ~own
+            own |= delta
+        found[c] = own
+        for i, to in enumerate(targets):
+            for below in to - {c}:
+                found[below] |= own | given[i]
+        for below in set().union(*targets) - {c}:
+            known[below] |= own
+            images[below] = [mine | theirs for mine, theirs in zip(given, images[below])]
+        images[c] = None  # every class below has what it needs
+    return SubwordRelation(tuple(found[c] for c in j_class))
 
 
 def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
@@ -361,18 +411,6 @@ def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness
                 grown.append((nw, ps + (len(nw),), (table[x][g], table[y][g])))
         level = grown
     raise PreconditionError(f"pair {pair} is not in the subword relation")
-
-
-def verify_subword_witness(
-    morphism: Morphism, pair: tuple[int, int], wit: SubwordWitness
-) -> bool:
-    x, y = pair
-    if any(not 1 <= p <= len(wit.word) for p in wit.positions):
-        return False
-    if list(wit.positions) != sorted(set(wit.positions)):
-        return False
-    sub = tuple(wit.word[p - 1] for p in wit.positions)
-    return morphism.eval(wit.word) == x and morphism.eval(sub) == y
 
 
 # ---------------------------------------------------------------------------
@@ -409,49 +447,37 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
 
     Scans idempotents and companions in index order and returns the first
     failure with the first separating context, so verdicts are stable.
-    An order that denies x <= xyx with no separating context is wrong,
-    and raises VerificationError.
+    An idempotent whose J-class passed is skipped: two idempotents of one
+    class are conjugate, e = a b and f = b a, with the same companions,
+    and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
+    with no separating context is wrong, and raises VerificationError.
     """
-    ordered = rec.ordered
-    monoid = rec.monoid
-    table = monoid.table
-    rep = rec.morphism.representative
-    acc = rec.accepting
-
+    ordered, monoid, acc = rec.ordered, rec.monoid, rec.accepting
+    table, j_class = monoid.table, rec.morphism.j_class
+    passed = set()  # J-classes whose first idempotent passed
     for x in monoid.idempotents():
+        if j_class[x] in passed:
+            continue
         for y in sw.subwords_of(x):
             xyx = table[table[x][y]][x]
             if ordered.leq(x, xyx):
                 continue
-            context = next(
-                (
-                    (p, q)
-                    for p in range(monoid.size)
-                    for q in range(monoid.size)
-                    if table[table[p][x]][q] in acc
-                    and table[table[p][xyx]][q] not in acc
-                ),
-                None,
+            separating = (
+                (p, q)
+                for p in range(monoid.size)
+                for q in range(monoid.size)
+                if table[table[p][x]][q] in acc and table[table[p][xyx]][q] not in acc
             )
-            if context is None:
+            p, q = next(separating, (None, None))
+            if p is None:
                 raise VerificationError(
                     f"the order denies x <= xyx for x={x}, y={y}, "
                     "but no context separates x from xyx"
                 )
-            p, q = context
-            return EquationVerdict(
-                holds=False,
-                witness=EquationWitness(
-                    x=x,
-                    y=y,
-                    context=context,
-                    x_word=rep[x],
-                    y_word=rep[y],
-                    p_word=rep[p],
-                    q_word=rep[q],
-                    pair_witness=subword_witness(rec.morphism, (x, y)),
-                ),
-            )
+            rep, pair = rec.morphism.representative, subword_witness(rec.morphism, (x, y))
+            witness = EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
+            return EquationVerdict(holds=False, witness=witness)
+        passed.add(j_class[x])
     return EquationVerdict(holds=True)
 
 

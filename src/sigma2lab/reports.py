@@ -11,12 +11,7 @@ from __future__ import annotations
 import json
 
 from .languages import accepts
-from .monoids import (
-    ClassReport,
-    EquationWitness,
-    Recognition,
-    verify_subword_witness,
-)
+from .monoids import ClassReport, EquationWitness, Morphism, Recognition, SubwordWitness
 
 
 def _word_str(word: tuple[str, ...]) -> str:
@@ -40,6 +35,19 @@ def witness_to_dict(w: EquationWitness) -> dict:
             "positions": list(w.pair_witness.positions),
         },
     }
+
+
+def verify_subword_witness(
+    morphism: Morphism, pair: tuple[int, int], wit: SubwordWitness
+) -> bool:
+    """Do the marked positions of the word evaluate to y, and the word to x?"""
+    x, y = pair
+    if any(not 1 <= p <= len(wit.word) for p in wit.positions):
+        return False
+    if list(wit.positions) != sorted(set(wit.positions)):
+        return False
+    sub = tuple(wit.word[p - 1] for p in wit.positions)
+    return morphism.eval(wit.word) == x and morphism.eval(sub) == y
 
 
 def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:

@@ -10,9 +10,12 @@ bitset indexes replaced.
 Patterns are also parsed by the recursive-descent parser that the
 package's single-loop parser replaced.
 The transition monoid's table is also built by composing state maps
-cell by cell, the subword relation by the breadth-first search that
-keeps a witness for every pair, and sigma2 is also decided by the
-content form of its identity, which needs no subword relation.
+cell by cell, and its J-classes are the elements with equal two-sided
+ideals. The subword relation is also found by the breadth-first search
+that keeps a witness for every pair, and by a worklist over elements
+that knows no J-classes; the sigma2 check also scans every idempotent,
+and sigma2 is also decided by the content form of its identity, which
+needs no subword relation.
 Five helpers live here because only tests use them:
 complement and equivalent build the complement and compare languages
 by minimal canonical forms, independently of Recognition.complemented;
@@ -53,7 +56,14 @@ from sigma2lab.languages import (
     accepts,
     minimize,
 )
-from sigma2lab.monoids import FiniteMonoid, Morphism
+from sigma2lab.monoids import (
+    EquationVerdict,
+    EquationWitness,
+    FiniteMonoid,
+    Morphism,
+    SubwordRelation,
+    subword_witness,
+)
 
 # ---------------------------------------------------------------------------
 # patterns by recursive descent, one method per grammar rule
@@ -306,13 +316,40 @@ def bfs_transition_monoid(d, max_size):
     table = tuple(
         tuple(index[tuple(t[q] for q in s)] for t in elements) for s in elements
     )
+    monoid = FiniteMonoid(size=len(elements), identity=0, table=table)
     return Morphism(
         alphabet=d.alphabet,
-        monoid=FiniteMonoid(size=len(elements), identity=0, table=table),
+        monoid=monoid,
         generator={sym: index[gens[sym]] for sym in d.alphabet},
         representative=tuple(words),
         action=tuple(elements),
+        j_class=j_classes_by_ideals(monoid),
     )
+
+
+def two_sided_ideals(monoid) -> list[frozenset]:
+    """M s M for every element s, every product u s v formed. Cubic."""
+    table, size = monoid.table, monoid.size
+    return [
+        frozenset(table[table[u][s]][v] for u in range(size) for v in range(size))
+        for s in range(size)
+    ]
+
+
+def j_classes_by_ideals(monoid) -> tuple[int, ...]:
+    """J-classes as equal two-sided ideals, numbered by decreasing ideal size.
+
+    A class strictly above another has the larger ideal, so the numbering
+    puts every class before the classes below it; ties go to the class
+    with the smaller least element.
+    """
+    ideals = two_sided_ideals(monoid)
+    classes = sorted(
+        {ideal: s for s, ideal in reversed(list(enumerate(ideals)))}.items(),
+        key=lambda item: (-len(item[0]), item[1]),
+    )
+    number = {ideal: c for c, (ideal, _) in enumerate(classes)}
+    return tuple(number[ideal] for ideal in ideals)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +404,72 @@ def bfs_subword_relation(morphism):
     return set(witness), witness
 
 
+def worklist_subword_relation(morphism) -> SubwordRelation:
+    """The subword relation closed element by element, with no J-classes.
+
+    A worklist closes {(1, 1)} under right multiplication by the
+    generator pairs, one bitset of companions per x; only the bits new
+    to x since it was last processed are pushed on.
+    """
+    table = morphism.monoid.table
+    gens = set(morphism.generator.values())
+    one = morphism.monoid.identity
+    companions = [0] * morphism.monoid.size
+    companions[one] = 1 << one
+    new = {one: 1 << one}  # x -> its companions not yet pushed on
+    while new:
+        x, delta = new.popitem()
+        ys = [y for y in range(delta.bit_length()) if delta >> y & 1]
+        for g in gens:
+            # (x, y)(g, 1) = (xg, y) and (x, y)(g, g) = (xg, yg)
+            xg = table[x][g]
+            grown = delta
+            for y in ys:
+                grown |= 1 << table[y][g]
+            grown &= ~companions[xg]
+            if grown:
+                companions[xg] |= grown
+                new[xg] = new.get(xg, 0) | grown
+    return SubwordRelation(tuple(companions))
+
+
+def scan_check_sigma2(rec, sw) -> EquationVerdict:
+    """The sigma2 equation checked at every idempotent, with no J-classes.
+
+    Idempotents and companions in index order; the first failure comes
+    with the first separating context and the package's pair witness.
+    """
+    monoid, table, acc = rec.monoid, rec.monoid.table, rec.accepting
+    rep = rec.morphism.representative
+    for x in monoid.idempotents():
+        for y in range(monoid.size):
+            if not sw.companions[x] >> y & 1:
+                continue
+            xyx = table[table[x][y]][x]
+            if rec.ordered.leq(x, xyx):
+                continue
+            p, q = next(
+                (p, q)
+                for p in range(monoid.size)
+                for q in range(monoid.size)
+                if table[table[p][x]][q] in acc and table[table[p][xyx]][q] not in acc
+            )
+            return EquationVerdict(
+                holds=False,
+                witness=EquationWitness(
+                    x=x,
+                    y=y,
+                    context=(p, q),
+                    x_word=rep[x],
+                    y_word=rep[y],
+                    p_word=rep[p],
+                    q_word=rep[q],
+                    pair_witness=subword_witness(rec.morphism, (x, y)),
+                ),
+            )
+    return EquationVerdict(holds=True)
+
+
 def monoid_law_failure(monoid):
     """The first monoid law the table breaks, or None. Cubic."""
     e, size, table = monoid.identity, monoid.size, monoid.table
@@ -400,19 +503,29 @@ def order_law_failure(m, ordered):
 
 
 def definitional_order(monoid, accepting) -> set:
-    """s <= t iff every accepting context of s also accepts t."""
-    m = monoid.size
-    out = set()
-    for s in range(m):
-        for t in range(m):
-            if all(
-                monoid.mul(monoid.mul(p, t), q) in accepting
+    """s <= t iff every accepting context of s also accepts t.
+
+    The contexts (p, q) with p s q accepting are one bitset per s, one
+    bit per context, so s <= t is one inclusion test.
+    """
+    m, table = monoid.size, monoid.table
+    contexts = [
+        int(
+            "".join(
+                "1" if table[table[p][s]][q] in accepting else "0"
                 for p in range(m)
                 for q in range(m)
-                if monoid.mul(monoid.mul(p, s), q) in accepting
-            ):
-                out.add((s, t))
-    return out
+            ),
+            2,
+        )
+        for s in range(m)
+    ]
+    return {
+        (s, t)
+        for s in range(m)
+        for t in range(m)
+        if not contexts[s] & ~contexts[t]
+    }
 
 
 def in_da(d) -> bool:

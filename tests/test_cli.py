@@ -264,6 +264,29 @@ def test_tangled_beyond_search_budget_exits_three(runner):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["lab", "tangled", "--n", "49", "--k", "1", "--sample", "5"],
+        ["lab", "dichotomy", "--n", "49", "--k", "1", "--samples", "1"],
+    ],
+)
+def test_a_good_family_beyond_the_search_budget_is_refused_unbuilt(
+    runner, monkeypatch, args
+):
+    # r=7 is within the enumeration limit but beyond MAX_R
+    def unbuilt(n):
+        raise AssertionError(f"the good family of length {n} was built")
+
+    monkeypatch.setattr(cli, "enumerate_good", unbuilt)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "too large: r=7, k=1 exceeds the search budget (MAX_R=5, MAX_K=2)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "args, n",
     [
         (["lab", "klimit", "--u", "abbbabbba", "--k", "1", "--family", "1,2,3"], 9),

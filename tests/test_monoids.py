@@ -23,7 +23,10 @@ from oracles import (
     monoid_law_failure,
     moore_state_count,
     order_law_failure,
+    scan_check_sigma2,
+    two_sided_ideals,
     words_up_to_oracle,
+    worklist_subword_relation,
 )
 from sigma2lab import monoids
 from sigma2lab.errors import (
@@ -48,9 +51,8 @@ from sigma2lab.monoids import (
     syntactic_order,
     transition_monoid,
     up_word_accepts,
-    verify_subword_witness,
 )
-from sigma2lab.reports import class_report_to_dict
+from sigma2lab.reports import class_report_to_dict, verify_subword_witness
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -223,6 +225,9 @@ def test_table_matches_composition_oracle():
         ("(a+b)*a(a+b)*", AB),
         ("(aa)*", ("a",)),
         ("(ab)*", AB),
+        # the k-th letter from the end is a: 2**(k+1) states, many with
+        # several covers, each of which the order's recursion must read
+        *[("(a+b)*a" + "(a+b)" * k, AB) for k in range(1, 6)],
     ],
 )
 def test_order_matches_definitional_oracle(pattern, alphabet):
@@ -284,6 +289,7 @@ def test_antisymmetry_violation_detected():
         generator={"a": 1, "b": 1},
         representative=((), ("a",)),
         action=((0, 1), (1, 0)),
+        j_class=(0, 0),
     )
     with pytest.raises(AntisymmetryError):
         syntactic_order(BLOATED, morphism)
@@ -433,6 +439,62 @@ def test_relation_and_witnesses_match_the_bfs_oracle():
         for pair in claimed:
             wit = subword_witness(rec.morphism, pair)
             assert (wit.word, wit.positions) == witness[pair]
+
+
+def _minimized_random_recognitions(seed, count, max_size):
+    """Seeded random DFAs, 1-5 states, 1-4 letters, any initial state, minimized.
+
+    Minimizing gives every kind of minimal DFA, the one-state ones too;
+    DFAs whose monoid exceeds max_size elements are skipped.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        alphabet = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        delta = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+        d = Dfa(alphabet, n, rng.randrange(n), accepting, delta)
+        try:
+            out.append(recognize(d, max_size=max_size))
+        except MonoidSizeError:
+            continue
+    return out
+
+
+def test_j_classes_are_the_equal_ideals_numbered_top_down():
+    recs = [_rec("(ac*b+c)*", ABC), recognize(_full_transformation_dfa(3))]
+    for rec in recs + _minimized_random_recognitions(21, 150, 80):
+        m = rec.monoid
+        j_class = rec.morphism.j_class
+        ideals = two_sided_ideals(m)
+        assert j_class[m.identity] == 0
+        for s in range(m.size):
+            for t in ideals[s]:
+                # t in M s M: the same class iff the ideals agree, else below
+                if ideals[t] == ideals[s]:
+                    assert j_class[t] == j_class[s]
+                else:
+                    assert j_class[t] > j_class[s]
+        assert sorted(set(j_class)) == list(range(len(set(ideals))))
+
+
+def test_class_level_relation_and_check_match_the_element_scans():
+    # companions from the per-element worklist; verdicts and witnesses
+    # from the scan of every idempotent, on both sides of each language
+    shared = {True: 0, False: 0}  # sides with two idempotents in one J-class, by verdict
+    for rec in _minimized_random_recognitions(14, 400, 200):
+        sw = subword_relation(rec.morphism)
+        assert sw == worklist_subword_relation(rec.morphism)
+        j_class = rec.morphism.j_class
+        idempotent_classes = [j_class[e] for e in rec.monoid.idempotents()]
+        two_in_one = len(set(idempotent_classes)) < len(idempotent_classes)
+        for side in (rec, rec.complemented()):
+            verdict = check_sigma2(side, sw)
+            assert verdict == scan_check_sigma2(side, sw)
+            shared[verdict.holds] += two_in_one
+    # the check skips an idempotent on both kinds of verdict
+    assert shared[True] >= 10 and shared[False] >= 10
 
 
 # ---------------------------------------------------------------------------
