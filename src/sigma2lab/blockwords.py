@@ -33,10 +33,9 @@ K_LIMIT_WORK_LIMIT = 10**6
 
 def block_count(n: int) -> int:
     """The block size and count r for a length n = r*r word."""
-    r = isqrt(n)
-    if r * r != n or n <= 0:
+    if n <= 0 or isqrt(n) ** 2 != n:  # isqrt refuses a negative n
         raise NonSquareLengthError(f"length {n} is not a positive perfect square")
-    return r
+    return isqrt(n)
 
 
 def check_block_word(w: str) -> int:

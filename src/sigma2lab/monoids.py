@@ -18,6 +18,7 @@ every idempotent x and every y that the monoid-level subword relation
 pairs with x; pi2 is the check on the complement, delta2 both. A
 J-class shares one bitset of companions (the x paired with a y form an
 ideal), and its idempotents are conjugate, so both run once per class.
+A failing pair's shortest witness is searched for once per morphism.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class Morphism:
     representative: tuple[Word, ...]  # shortest word per element, lex-minimal
     action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
     j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
+    _witnesses: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def image(self, sym: str) -> int:
         try:
@@ -314,8 +316,7 @@ class SubwordWitness:
 class SubwordRelation:
     """All pairs (h(w), h(v)) with v a scattered subword of w, as bitsets.
 
-    companions[x] has bit y set when (x, y) is a pair. Witnesses are not
-    stored; subword_witness builds one for a given pair.
+    companions[x] has bit y set when (x, y) is a pair.
     """
 
     companions: tuple[int, ...]
@@ -382,35 +383,34 @@ def subword_relation(morphism: Morphism) -> SubwordRelation:
 
 
 def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
-    """A shortest witness of pair, found breadth-first.
+    """A shortest witness of pair, searched for once per morphism.
 
-    Each level holds the candidates (word, positions, pair reached) of
-    one length, sorted by (word, positions); the first candidate to reach
-    a pair claims it, and only claimed pairs grow into the next level.
-    Raises PreconditionError when pair is not in the relation.
+    Each breadth-first level keeps, per pair it reaches first, only the
+    least (word, positions) reaching it, which sorting the level would make
+    the pair's first claim. Raises PreconditionError for an unrelated pair.
     """
-    table = morphism.monoid.table
-    one = morphism.monoid.identity
-    level = [((), (), (one, one))]
-    claimed = set()
-    while level:
-        level.sort()  # no two candidates share (word, positions)
-        grown = []
-        for w, ps, found in level:
-            if found == pair:
-                return SubwordWitness(word=w, positions=ps)
-            if found in claimed:
-                continue
-            claimed.add(found)
-            x, y = found
-            for sym in morphism.alphabet:
-                g = morphism.image(sym)
-                nw = w + (sym,)
-                # skipping the new letter keeps the smaller marking
-                grown.append((nw, ps, (table[x][g], y)))
-                grown.append((nw, ps + (len(nw),), (table[x][g], table[y][g])))
+    if pair not in morphism._witnesses:
+        morphism._witnesses[pair] = _least_witness(morphism, pair)
+    return morphism._witnesses[pair]
+
+
+def _least_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
+    table, one = morphism.monoid.table, morphism.monoid.identity
+    level, claimed = {(one, one): ((), ())}, set()  # claimed: reached when shorter
+    while pair not in level:
+        if not level:
+            raise PreconditionError(f"pair {pair} is not in the subword relation")
+        claimed.update(level)
+        grown = {}
+        for (x, y), (w, ps) in level.items():
+            marked = ps + (len(w) + 1,)
+            for sym, g in morphism.generator.items():
+                nw, xg = w + (sym,), table[x][g]
+                for reached, c in ((xg, y), (nw, ps)), ((xg, table[y][g]), (nw, marked)):
+                    if reached not in claimed and (reached not in grown or c < grown[reached]):
+                        grown[reached] = c
         level = grown
-    raise PreconditionError(f"pair {pair} is not in the subword relation")
+    return SubwordWitness(*level[pair])
 
 
 # ---------------------------------------------------------------------------

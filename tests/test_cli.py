@@ -330,6 +330,26 @@ def test_lab_refuses_an_n_its_family_contradicts(runner, args, message):
     assert result.stderr == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lab", "klimit", "--u", "ab", "--n", "-1", "--k", "1"],
+        ["lab", "flower", "--n", "-3", "--p", "2"],
+        ["lab", "tangled", "--n", "-1", "--k", "1"],
+        ["lab", "dichotomy", "--n", "-4", "--k", "1"],
+        ["circuit", "adversary", "--fixture", "exact-good", "--n", "-1"],
+        ["circuit", "eval", "--word", "ab", "--fixture", "exact-good", "--n", "-4"],
+    ],
+)
+def test_a_negative_length_exits_two_in_one_line(runner, args):
+    # a negative length used to reach isqrt and end in a ValueError traceback
+    result = runner.invoke(main, args)
+    n = args[args.index("--n") + 1]
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: length {n} is not a positive perfect square\n"
+
+
 # ---------------------------------------------------------------------------
 # lab dichotomy
 

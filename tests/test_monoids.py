@@ -417,9 +417,9 @@ def _full_transformation_dfa(n):
 
 
 def test_relation_and_witnesses_match_the_bfs_oracle():
-    # Each subword_witness call searches anew, so every pair is checked on
-    # the three small named languages; on T3 and the random DFAs, a seeded
-    # sample plus the last pair claimed, which takes the longest search.
+    # Every pair is checked on the three small named languages (803 pairs);
+    # on T3 and the random DFAs, a seeded sample of 15 plus the last pair
+    # claimed, which takes the longest search (554 of their 40,436 pairs).
     named = [
         _rec("(ac*b+c)*", ABC),
         _rec("(a(ac*b+c)*b+c)*", ABC),
@@ -435,10 +435,27 @@ def test_relation_and_witnesses_match_the_bfs_oracle():
         assert subword_relation(rec.morphism).pairs == pairs
         claimed = list(witness)
         if sample:
-            claimed = rng.sample(claimed, min(3, len(claimed))) + claimed[-1:]
+            claimed = rng.sample(claimed, min(15, len(claimed))) + claimed[-1:]
         for pair in claimed:
             wit = subword_witness(rec.morphism, pair)
             assert (wit.word, wit.positions) == witness[pair]
+
+
+def test_a_pair_failing_on_both_sides_is_searched_for_once(monkeypatch):
+    # the language and its complement both fail on the pair (4, 1)
+    searched = []
+    search = monoids._least_witness
+
+    def counted(morphism, pair):
+        searched.append(pair)
+        return search(morphism, pair)
+
+    monkeypatch.setattr(monoids, "_least_witness", counted)
+    report = classify_recognition(_rec("(a(ac*b+c)*b+c)*", ABC))
+    sigma2, pi2 = report.sigma2.witness, report.pi2.witness
+    assert (sigma2.x, sigma2.y) == (pi2.x, pi2.y) == (4, 1)
+    assert searched == [(4, 1)]
+    assert sigma2.pair_witness is pi2.pair_witness
 
 
 def _minimized_random_recognitions(seed, count, max_size):
