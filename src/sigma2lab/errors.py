@@ -29,10 +29,6 @@ class NotMinimalError(ToolkitError):
     """An operation requiring a minimal automaton received a non-minimal one."""
 
 
-class AntisymmetryError(ToolkitError):
-    """The syntactic preorder failed antisymmetry; the source DFA was not minimal."""
-
-
 class MonoidSizeError(ToolkitError):
     """The transition monoid exceeded the configured element limit."""
 

@@ -10,7 +10,10 @@ semigroups, 1997). The syntactic order is "more accepting is larger":
 s <= t when every context accepting s accepts t. It is read off the
 states ordered by inclusion of their residuals, s <= t iff r s <= r t
 for every state r (Pin, Syntactic semigroups, 1997), and reversed for
-the complement.
+the complement. Residual inclusion is read off the co-states (the sets
+of states a word leads into F, Brzozowski 1962) that the closure
+enumerates to check minimality: q's lies in r's iff every co-state
+holding q holds r.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) holds iff x <= x y x for
@@ -24,11 +27,10 @@ A failing pair's shortest witness is searched for once per morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, count
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import (
-    AntisymmetryError,
     MonoidSizeError,
     NotMinimalError,
     PreconditionError,
@@ -79,6 +81,9 @@ class Morphism:
     representative: tuple[Word, ...]  # shortest word per element, lex-minimal
     action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
     j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
+    # state_order[q]: bit r set iff q's residual lies in r's; the language's
+    # order, which Recognition.complemented() shares and reads conversely
+    state_order: tuple[int, ...]
     _witnesses: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def image(self, sym: str) -> int:
@@ -98,8 +103,9 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     identity, so indices are stable for a given DFA. Row s of the table
     is row suffix[s], the rest of its representative after the first
     letter, mapped through left multiplication by that letter (Froidure
-    & Pin 1997). Raises NotMinimalError for non-minimal input (minimize
-    first), ahead of MonoidSizeError beyond max_size elements.
+    & Pin 1997). The co-states found on the way order the states by
+    residual inclusion. Raises NotMinimalError for non-minimal input
+    (minimize first), ahead of MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
 
@@ -128,14 +134,20 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
                 first.append(first[s] if s else a)
                 suffix.append(right[a][suffix[s]] if s else 0)
             right[a].append(t)
-    # minimal: all reached, residuals differ; a mask: the states a word leads into F
-    masks = [tuple(q in d.accepting for q in range(n))]
+    # a co-state: the states some word leads into F, as a bitset
+    masks = [sum(1 << q for q in d.accepting)]
     seen = set(masks)
     for mask in masks:
-        for before in {tuple(map(mask.__getitem__, g)) for g in gens} - seen:
+        befores = {sum(1 << r for r, p in enumerate(g) if mask >> p & 1) for g in gens}
+        for before in befores - seen:
             seen.add(before)
             masks.append(before)
-    if len({e[d.initial] for e in elements}) < n or len(set(zip(*masks))) < n:
+    up = [(1 << n) - 1] * n  # up[q]: the states r whose residual holds q's
+    for mask in masks:
+        for q in _members(mask):
+            up[q] &= mask
+    # minimal: every state reached, and no two with the same residual
+    if len({e[d.initial] for e in elements}) < n or len(set(up)) < n:
         raise NotMinimalError(_NOT_MINIMAL)
     left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
     rows = [tuple(range(len(elements)))]  # row s: s t for every t
@@ -148,6 +160,7 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
         representative=tuple(words),
         action=tuple(elements),
         j_class=_j_classes(len(rows), right + left),
+        state_order=tuple(up),
     )
 
 
@@ -203,32 +216,18 @@ class OrderedMonoid:
         return bool(self.leq_bits[s] >> t & 1)
 
 
-def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
-    """Order the transition monoid of the minimal DFA d by its states.
+def syntactic_order(morphism: Morphism) -> OrderedMonoid:
+    """Order a transition monoid of a minimal DFA by its states.
 
     q <= r when the residual of q (the language q accepts) is included in
-    that of r; the elements that lead each state into F stand for its
-    residual. Since every state is reachable, s <= t (every accepting
-    context of s accepts t) iff r s <= r t for every state r. Two states
-    with the same residual mean d was not minimal; that is reported
-    rather than repaired.
+    that of r, as morphism.state_order holds it, read off the co-states
+    transition_monoid enumerates for its minimality check. Since every
+    state is reachable, s <= t (every accepting context of s accepts t)
+    iff r s <= r t for every state r.
     """
-    n = d.n_states
-    action = morphism.action
-    # into_f[q]: bit t set iff element t leads state q into F
-    into_f = [0] * n
-    for t, image in enumerate(action):
-        for q, p in enumerate(image):
-            if p in d.accepting:
-                into_f[q] |= 1 << t
-    if len(set(into_f)) < n:
-        q, r = next((q, r) for q, r in combinations(range(n), 2) if into_f[q] == into_f[r])
-        raise AntisymmetryError(
-            f"states {q} and {r} accept the same language; the source DFA was not minimal"
-        )
-    # up[q]: the states r with q <= r, as a bitset over states
-    up = [sum(1 << r for r in range(n) if not f & ~into_f[r]) for f in into_f]
-    by_size = sorted(range(n), key=lambda q: -into_f[q].bit_count())  # above comes first
+    up, action = morphism.state_order, morphism.action
+    n = len(up)
+    by_size = sorted(range(n), key=lambda q: up[q].bit_count())  # above comes first
     # (q, p) with p just above q, q by decreasing residual; a state in between is met first
     covers = []
     for q in by_size:
@@ -238,10 +237,9 @@ def syntactic_order(d: Dfa, morphism: Morphism) -> OrderedMonoid:
                 covers.append((q, p))
                 covered |= up[p]
     rows = [-1] * len(action)
-    for r in range(n):
-        # above[q]: the elements sending state r to q, then, through the
-        # covers of q (done before q), to q or any state above it
-        column = [image[r] for image in action]
+    for column in zip(*action):
+        # above[q]: the elements sending the column's state to q, then,
+        # through the covers of q (done before q), to q or any state above it
         above = [0] * n
         for t, q in enumerate(column):
             above[q] |= 1 << t
@@ -290,7 +288,7 @@ def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     accepting = frozenset(
         e for e, image in enumerate(morphism.action) if image[d.initial] in d.accepting
     )
-    ordered = syntactic_order(d, morphism)
+    ordered = syntactic_order(morphism)
     return Recognition(dfa=d, ordered=ordered, morphism=morphism, accepting=accepting)
 
 

@@ -10,12 +10,13 @@ bitset indexes replaced.
 Patterns are also parsed by the recursive-descent parser that the
 package's single-loop parser replaced.
 The transition monoid's table is also built by composing state maps
-cell by cell, and its J-classes are the elements with equal two-sided
-ideals. The subword relation is also found by the breadth-first search
-that keeps a witness for every pair, and by a worklist over elements
-that knows no J-classes; the sigma2 check also scans every idempotent,
-and sigma2 is also decided by the content form of its identity, which
-needs no subword relation.
+cell by cell, its J-classes are the elements with equal two-sided
+ideals, and the residual inclusion of its states is the greatest
+simulation, which needs no co-states. The subword relation is also
+found by the breadth-first search that keeps a witness for every pair,
+and by a worklist over elements that knows no J-classes; the sigma2
+check also scans every idempotent, and sigma2 is also decided by the
+content form of its identity, which needs no subword relation.
 Five helpers live here because only tests use them:
 complement and equivalent build the complement and compare languages
 by minimal canonical forms, independently of Recognition.complemented;
@@ -324,7 +325,32 @@ def bfs_transition_monoid(d, max_size):
         representative=tuple(words),
         action=tuple(elements),
         j_class=j_classes_by_ideals(monoid),
+        state_order=residual_inclusion(d),
     )
+
+
+def residual_inclusion(d) -> tuple[int, ...]:
+    """up[q]: bit r set iff every word q leads into F leads r into F too.
+
+    The greatest simulation: start from the pairs with q in F => r in F,
+    and drop a pair while some letter leads it outside the set.
+    """
+    n, letters = d.n_states, range(len(d.alphabet))
+    related = {
+        (q, r)
+        for q in range(n)
+        for r in range(n)
+        if q not in d.accepting or r in d.accepting
+    }
+    while True:
+        broken = {
+            (q, r)
+            for q, r in related
+            if any((d.delta[q][a], d.delta[r][a]) not in related for a in letters)
+        }
+        if not broken:
+            return tuple(sum(1 << r for r in range(n) if (q, r) in related) for q in range(n))
+        related -= broken
 
 
 def two_sided_ideals(monoid) -> list[frozenset]:

@@ -572,7 +572,7 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
 def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
     # no element lies below any other, not even itself, so x <= xyx is
     # denied for x = y = 1, where no context can separate
-    def empty_rows(d, morphism):
+    def empty_rows(morphism):
         return monoids.OrderedMonoid((0,) * morphism.monoid.size)
 
     monkeypatch.setattr(monoids, "syntactic_order", empty_rows)

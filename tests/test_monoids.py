@@ -30,7 +30,6 @@ from oracles import (
 )
 from sigma2lab import monoids
 from sigma2lab.errors import (
-    AntisymmetryError,
     MonoidSizeError,
     NotMinimalError,
     PreconditionError,
@@ -39,7 +38,6 @@ from sigma2lab.errors import (
 from sigma2lab.languages import Dfa, accepts, compile_pattern, minimize
 from sigma2lab.monoids import (
     FiniteMonoid,
-    Morphism,
     SubwordRelation,
     check_sigma2,
     classify,
@@ -64,6 +62,14 @@ BLOATED = Dfa(
     initial=0,
     accepting=frozenset({0, 1}),
     delta=((1, 1), (0, 0)),
+)
+# minimal but for state 1, which nothing reaches
+UNREACHED = Dfa(
+    alphabet=AB,
+    n_states=2,
+    initial=0,
+    accepting=frozenset({0}),
+    delta=((0, 0), (1, 0)),
 )
 
 
@@ -139,9 +145,10 @@ def test_monoid_laws_validate(k_rec):
     assert order_law_failure(k_rec.monoid, k_rec.ordered) is None
 
 
-def test_transition_monoid_requires_minimal_dfa():
+@pytest.mark.parametrize("d", [BLOATED, UNREACHED], ids=["equal-residuals", "unreached"])
+def test_transition_monoid_requires_minimal_dfa(d):
     with pytest.raises(NotMinimalError):
-        transition_monoid(BLOATED)
+        transition_monoid(d)
 
 
 def test_monoid_size_guard(k_dfa):
@@ -180,6 +187,7 @@ def _monoid_or_error(build, d, max_size):
         "generator": h.generator,
         "representative": h.representative,
         "action": h.action,
+        "state_order": h.state_order,
     }
 
 
@@ -280,21 +288,6 @@ def test_random_orders_match_definitional_oracle():
             assert computed == brute
 
 
-def test_antisymmetry_violation_detected():
-    # both states of BLOATED accept (a+b)*; each letter swaps them
-    swap = FiniteMonoid(size=2, identity=0, table=((0, 1), (1, 0)))
-    morphism = Morphism(
-        alphabet=AB,
-        monoid=swap,
-        generator={"a": 1, "b": 1},
-        representative=((), ("a",)),
-        action=((0, 1), (1, 0)),
-        j_class=(0, 0),
-    )
-    with pytest.raises(AntisymmetryError):
-        syntactic_order(BLOATED, morphism)
-
-
 def test_recognition_membership_sampled(k_rec):
     rng = random.Random(4)
     for _ in range(1000):
@@ -322,9 +315,9 @@ def test_complemented_recognition(k_rec):
 def test_one_syntactic_order_per_language(monkeypatch, k_dfa):
     calls = []
 
-    def counted(d, morphism):
-        calls.append(d)
-        return syntactic_order(d, morphism)
+    def counted(morphism):
+        calls.append(morphism)
+        return syntactic_order(morphism)
 
     monkeypatch.setattr(monoids, "syntactic_order", counted)
     rec = recognize(k_dfa)
