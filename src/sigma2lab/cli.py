@@ -25,6 +25,7 @@ import click
 from .blockwords import (
     agree_on,
     block_count,
+    check_block_word,
     enumerate_good,
     is_good,
     k_limit_counterexample,
@@ -403,6 +404,7 @@ def expand(word: str, as_json: bool) -> None:
 @json_option
 def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
     """Wire a word through the failing equation pair of a language."""
+    check_block_word(word)
     rec = recognize(compile_pattern(lang, tuple(alphabet)))
     sw = subword_relation(rec.morphism)
     verdict = check_sigma2(rec, sw)

@@ -1,17 +1,18 @@
-"""Regular languages: regex parsing and minimal DFAs.
+"""Regular languages: patterns compiled to minimal DFAs.
 
 Words are tuples of symbols. Symbols are arbitrary non-empty strings, so
 alphabets made of generated names ("e0", "e1", ...) work the same way as
-single-letter ones. A pattern compiles through its Glushkov position
-automaton (one state per letter occurrence, no epsilon-moves; Berry &
-Sethi 1986), a subset construction over sets of positions, and Hopcroft
-minimization. Every constructor in this module returns a DFA that is
-already minimal and canonically numbered (breadth-first from the initial
-state, columns in alphabet order), which makes equivalence a structural
-comparison. Parsing and compiling each run as one loop over an explicit
-stack, never recursing, so no nesting depth or pattern length is refused.
+single-letter ones. A pattern compiles in one left-to-right loop that
+parses it and builds its Glushkov position automaton at once (one state
+per letter occurrence, no epsilon-moves; Berry & Sethi 1986), then a
+subset construction over sets of positions and Hopcroft minimization.
+Every constructor in this module returns a DFA that is already minimal
+and canonically numbered (breadth-first from the initial state, columns
+in alphabet order), which makes equivalence a structural comparison.
+The loop keeps its open groups on an explicit stack, never recursing,
+so no nesting depth or pattern length is refused.
 
-All functions are pure; DFAs and regex nodes are immutable.
+All functions are pure; DFAs are immutable.
 """
 
 from __future__ import annotations
@@ -27,133 +28,6 @@ from .errors import (
 )
 
 Word = tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# regex abstract syntax
-
-
-@dataclass(frozen=True)
-class Empty:
-    """The empty language."""
-
-
-@dataclass(frozen=True)
-class Epsilon:
-    """The language containing only the empty word."""
-
-
-@dataclass(frozen=True)
-class Letter:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "Regex"
-    right: "Regex"
-
-
-@dataclass(frozen=True)
-class Concat:
-    left: "Regex"
-    right: "Regex"
-
-
-@dataclass(frozen=True)
-class Star:
-    inner: "Regex"
-
-
-Regex = Empty | Epsilon | Letter | Union | Concat | Star
-
-EPSILON = Epsilon()
-
-
-# ---------------------------------------------------------------------------
-# parser
-#
-# regex  := term ('+' term)*
-# term   := factor*           (empty concatenation denotes epsilon)
-# factor := base '*'*
-# base   := '(' regex ')' | '[' name ']' | symbol character
-#
-# '+' is union, juxtaposition is concatenation, '*' is star. Multi-char
-# symbols are written in brackets. Whitespace is ignored. The empty
-# string parses to epsilon. Union and concatenation associate to the
-# right.
-
-
-def _nest_right(make, items: list) -> Regex:
-    """make(items[0], make(items[1], ... items[-1])), for a nonempty list."""
-    node = items[-1]
-    for item in reversed(items[:-1]):
-        node = make(item, node)
-    return node
-
-
-def parse_regex(text: str, alphabet: Iterable[str]) -> Regex:
-    """Parse a pattern over the given alphabet into a regex tree.
-
-    The empty string yields epsilon. Raises RegexSyntaxError with a
-    position for malformed input, and UnknownSymbolError for symbols
-    outside the alphabet. One left-to-right loop reads the pattern; each
-    open group on its stack holds its finished terms and the factors of
-    the term being read, so nesting depth costs list entries, not Python
-    frames, and no pattern is too deep to parse.
-    """
-    alpha = frozenset(alphabet)
-    for sym in alpha:
-        if not sym:
-            raise UnknownSymbolError("alphabet symbols must be non-empty")
-    groups: list[tuple[list[Regex], list[Regex]]] = [([], [])]
-    pos = 0
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        c = text[pos] if pos < len(text) else None
-        terms, factors = groups[-1]
-        if c is None or c in ")+":
-            terms.append(_nest_right(Concat, factors) if factors else EPSILON)
-            factors.clear()
-            if c == "+":
-                pos += 1
-                continue
-            if c is None and len(groups) > 1:
-                raise RegexSyntaxError("expected ')'", pos)
-            if c == ")" and len(groups) == 1:
-                raise RegexSyntaxError("unexpected ')'", pos)
-            node = _nest_right(Union, terms)
-            if c is None:
-                return node
-            groups.pop()
-            groups[-1][1].append(node)
-        elif c == "*":
-            if not factors:
-                raise RegexSyntaxError("'*' needs something to repeat", pos)
-            factors[-1] = Star(factors[-1])
-        elif c == "(":
-            groups.append(([], []))
-        elif c == "[":
-            end = text.find("]", pos)
-            if end < 0:
-                raise RegexSyntaxError("unterminated '['", pos)
-            name = text[pos + 1 : end]
-            if not name:
-                raise RegexSyntaxError("empty symbol name", pos)
-            if name not in alpha:
-                raise UnknownSymbolError(
-                    f"symbol {name!r} not in alphabet (at position {pos})"
-                )
-            factors.append(Letter(name))
-            pos = end
-        elif c == "]":
-            raise RegexSyntaxError("unexpected ']'", pos)
-        elif c not in alpha:
-            raise UnknownSymbolError(f"symbol {c!r} not in alphabet (at position {pos})")
-        else:
-            factors.append(Letter(c))
-        pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +103,7 @@ def accepts(d: Dfa, w: str | Sequence[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# compilation: Glushkov positions, subset construction, minimization
+# minimization, and compilation through Glushkov positions
 
 
 def _hopcroft(n, alphabet_size, delta, accepting):
@@ -313,60 +187,99 @@ def minimize(d: Dfa) -> Dfa:
     )
 
 
-def compile(expr: Regex, alphabet: Iterable[str]) -> Dfa:
-    """Compile a regex tree to its minimal DFA over the given alphabet.
 
-    Each letter occurrence is a position; one walk over the tree gives
-    every node's (nullable, first, last) and fills follow[p], the
-    positions that may come right after p. Position 0 stands before the
-    word, so follow[0] = first(expr). The subset construction then runs
-    over sets of positions, with no epsilon-moves: a set accepts when it
-    meets last(expr), or holds 0 if expr is nullable. The empty language
-    and the empty word are ordinary cases.
 
-    The walk is a post-order loop over an explicit stack, left child
-    first, so positions are numbered left to right and a tree of any
-    depth compiles: an inner node is popped once to push its children
-    and once more to combine the triples they left on the results stack.
+def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
+    """Compile a pattern over the given alphabet to its minimal DFA.
+
+        regex  := term ('+' term)*
+        term   := factor*           (empty concatenation denotes epsilon)
+        factor := base '*'*
+        base   := '(' regex ')' | '[' name ']' | symbol character
+
+    '+' is union, juxtaposition is concatenation, '*' is star; multi-char
+    symbols go in brackets and whitespace is ignored. Malformed input
+    raises RegexSyntaxError with a position, a symbol outside the
+    alphabet UnknownSymbolError.
+
+    One loop reads the pattern left to right and builds its Glushkov
+    automaton as it goes: each letter occurrence is a position, numbered
+    as it is read, each finished piece is kept only as its (nullable,
+    first, last), and follow[p], the positions that may come right after
+    p, fills in as pieces are concatenated or starred. Each open group on
+    the stack holds its union, its term and the term's last factor, left
+    open for a '*' until the next factor, '+', ')' or the end. Position 0
+    stands before the word, so follow[0] = first(pattern); the subset
+    construction runs over sets of positions, and a set accepts when it
+    meets last(pattern), or holds 0 if the pattern is nullable.
     """
     alpha = tuple(alphabet)
+    for sym in alpha:
+        if not sym:
+            raise UnknownSymbolError("alphabet symbols must be non-empty")
     index = {sym: a for a, sym in enumerate(alpha)}
     letter_of = [-1]
     follow: list[set[int]] = [set()]
-    results: list[tuple[bool, set[int], set[int]]] = []
-    stack: list[tuple[Regex, bool]] = [(expr, False)]
-    while stack:
-        node, combine = stack.pop()
-        if combine and isinstance(node, Star):
-            _, first, last = results[-1]
+    empty_word = (True, frozenset(), frozenset())
+    groups = [[None, empty_word, None]]  # union, term, the term's last factor
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        c = text[pos] if pos < len(text) else None
+        group = groups[-1]
+        if c == "*":
+            if group[2] is None:
+                raise RegexSyntaxError("'*' needs something to repeat", pos)
+            _, first, last = group[2]
             for p in last:
                 follow[p] |= first
-            results[-1] = True, first, last
-        elif combine:
-            n2, f2, l2 = results.pop()
-            n1, f1, l1 = results.pop()
-            if isinstance(node, Union):
-                results.append((n1 or n2, f1 | f2, l1 | l2))
-            else:
-                for p in l1:
-                    follow[p] |= f2
-                results.append((n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2))
-        elif isinstance(node, Letter):
-            if node.symbol not in index:
-                raise UnknownSymbolError(f"symbol {node.symbol!r} not in alphabet")
-            p = len(letter_of)
-            letter_of.append(index[node.symbol])
-            follow.append(set())
-            results.append((False, {p}, {p}))
-        elif isinstance(node, (Empty, Epsilon)):
-            results.append((isinstance(node, Epsilon), set(), set()))
-        elif isinstance(node, (Union, Concat)):
-            stack += [(node, True), (node.right, False), (node.left, False)]
-        elif isinstance(node, Star):
-            stack += [(node, True), (node.inner, False)]
+            group[2] = True, first, last
+            pos += 1
+            continue
+        if group[2] is not None:  # concatenate the open factor to the term
+            (n1, f1, l1), (n2, f2, l2) = group[1:]
+            for p in l1:
+                follow[p] |= f2
+            group[1:] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2), None
+        if c is None or c in ")+":
+            union, term, _ = group
+            if union is not None:
+                term = union[0] or term[0], union[1] | term[1], union[2] | term[2]
+            if c == "+":
+                group[:2] = term, empty_word
+                pos += 1
+                continue
+            if c is None and len(groups) > 1:
+                raise RegexSyntaxError("expected ')'", pos)
+            if c == ")" and len(groups) == 1:
+                raise RegexSyntaxError("unexpected ')'", pos)
+            if c is None:
+                break
+            groups.pop()
+            groups[-1][2] = term
+        elif c == "(":
+            groups.append([None, empty_word, None])
         else:
-            raise TypeError(f"not a regex node: {node!r}")
-    nullable, follow[0], last = results.pop()
+            sym, end = c, pos
+            if c == "[":
+                end = text.find("]", pos)
+                if end < 0:
+                    raise RegexSyntaxError("unterminated '['", pos)
+                sym = text[pos + 1 : end]
+                if not sym:
+                    raise RegexSyntaxError("empty symbol name", pos)
+            elif c == "]":
+                raise RegexSyntaxError("unexpected ']'", pos)
+            if sym not in index:
+                raise UnknownSymbolError(f"symbol {sym!r} not in alphabet (at position {pos})")
+            p = len(letter_of)
+            letter_of.append(index[sym])
+            follow.append(set())
+            group[2] = False, {p}, {p}
+            pos = end
+        pos += 1
+    nullable, follow[0], last = term
     # moves[p][a]: the positions after p that carry alphabet[a]
     moves = [[set() for _ in alpha] for _ in follow]
     for p, after in enumerate(follow):
@@ -388,9 +301,3 @@ def compile(expr: Regex, alphabet: Iterable[str]) -> Dfa:
     final = last | {0} if nullable else last
     accepting = frozenset(i for i, s in enumerate(order) if not s.isdisjoint(final))
     return minimize(Dfa(alpha, len(order), 0, accepting, tuple(rows)))
-
-
-def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
-    """parse_regex followed by compile."""
-    alpha = tuple(alphabet)
-    return compile(parse_regex(text, alpha), alpha)

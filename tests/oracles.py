@@ -7,8 +7,9 @@ refinement instead of Hopcroft, limits by scanning every position set.
 The lab's k-limit probes, entailment search, packed limit conditions
 and densest gate are also kept as the member-by-member scans their
 bitset indexes replaced.
-Patterns are also parsed by the recursive-descent parser that the
-package's single-loop parser replaced.
+Patterns are also parsed into regex trees by recursive descent, and
+to_pattern writes a tree back as pattern text, so trees drawn by the
+tests reach the package through its one entry, compile_pattern.
 The transition monoid's table is also built by composing state maps
 cell by cell, its J-classes are the elements with equal two-sided
 ideals, and the residual inclusion of its states is the greatest
@@ -29,6 +30,7 @@ Slow is fine; these run at desk scale only.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
@@ -45,18 +47,7 @@ from sigma2lab.errors import (
     SearchBudgetError,
     UnknownSymbolError,
 )
-from sigma2lab.languages import (
-    EPSILON,
-    Concat,
-    Dfa,
-    Empty,
-    Epsilon,
-    Letter,
-    Star,
-    Union,
-    accepts,
-    minimize,
-)
+from sigma2lab.languages import Dfa, accepts, minimize
 from sigma2lab.monoids import (
     EquationVerdict,
     EquationWitness,
@@ -65,6 +56,61 @@ from sigma2lab.monoids import (
     SubwordRelation,
     subword_witness,
 )
+
+# ---------------------------------------------------------------------------
+# regex trees, and the pattern text that denotes each
+
+
+@dataclass(frozen=True)
+class Empty:
+    """The empty language; no pattern denotes it."""
+
+
+@dataclass(frozen=True)
+class Epsilon:
+    """The language containing only the empty word."""
+
+
+@dataclass(frozen=True)
+class Letter:
+    symbol: str
+
+
+@dataclass(frozen=True)
+class Union:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Concat:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Star:
+    inner: object
+
+
+EPSILON = Epsilon()
+
+
+def to_pattern(r) -> str:
+    """Pattern text for a tree without Empty: every node in parentheses,
+    the empty word as '()', multi-character symbols in brackets."""
+    if isinstance(r, Epsilon):
+        return "()"
+    if isinstance(r, Letter):
+        return r.symbol if len(r.symbol) == 1 else f"[{r.symbol}]"
+    if isinstance(r, Union):
+        return f"({to_pattern(r.left)}+{to_pattern(r.right)})"
+    if isinstance(r, Concat):
+        return f"({to_pattern(r.left)}{to_pattern(r.right)})"
+    if isinstance(r, Star):
+        return f"({to_pattern(r.inner)})*"
+    raise TypeError(f"no pattern denotes {r!r}")
+
 
 # ---------------------------------------------------------------------------
 # patterns by recursive descent, one method per grammar rule

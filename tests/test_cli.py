@@ -429,6 +429,23 @@ def test_wire_inapplicable_language(runner):
     assert "reason" in payload
 
 
+@pytest.mark.parametrize("lang", [[], ["--lang", "a*", "--alphabet", "a"]], ids=["fails", "holds"])
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("xyz", "length 3 is not a positive perfect square"),
+        ("abxb", "letter 'x' at position 3 is not a or b"),
+    ],
+    ids=["non-square", "foreign-letter"],
+)
+def test_wire_refuses_a_word_that_is_not_a_block_word(runner, lang, word, message):
+    # on a language that satisfies the equations the word was echoed, exit 0
+    result = runner.invoke(main, ["reduce", "wire", "--word", word] + lang)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: {message}\n"
+
+
 def test_annotate(runner):
     payload = invoke_json(runner, ["reduce", "annotate", "--word", "abcabc", "--moduli", "2,3"])
     assert payload["annotated"] == [

@@ -1,8 +1,10 @@
-"""Regex parsing, DFA compilation, minimization, complement and equivalence.
+"""Pattern compilation, minimization, complement and equivalence.
 
 The ground truth throughout is a Brzozowski-derivative matcher plus a
 Moore minimizer and a product-BFS equivalence check, all in oracles.py
-and none sharing code with the package.
+and none sharing code with the package. Regex trees are drawn here and
+written as pattern text by to_pattern, since compile_pattern is the
+package's one road from a pattern to a DFA.
 """
 
 import itertools
@@ -12,12 +14,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    Concat,
+    Epsilon,
+    Letter,
+    Star,
+    Union,
     complement,
     equivalent,
     equivalent_bfs,
     moore_state_count,
     parse_regex_recursive,
     re_matches,
+    to_pattern,
     words_up_to_oracle,
 )
 from sigma2lab.errors import (
@@ -26,119 +34,112 @@ from sigma2lab.errors import (
     RegexSyntaxError,
     UnknownSymbolError,
 )
-from sigma2lab.languages import (
-    EPSILON,
-    Concat,
-    Dfa,
-    Empty,
-    Epsilon,
-    Letter,
-    Star,
-    Union,
-    accepts,
-    compile,
-    compile_pattern,
-    minimize,
-    parse_regex,
-)
+from sigma2lab.languages import Dfa, accepts, compile_pattern, minimize
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
 
 
+def _compile_tree(r, alphabet=AB):
+    return compile_pattern(to_pattern(r), alphabet)
+
+
 # ---------------------------------------------------------------------------
-# parser
+# pattern syntax: each pattern compiles as its fully parenthesized tree
 
 
 def test_parse_block_language_shape():
-    r = parse_regex("(ac*b+c)*", ABC)
-    assert r == Star(
+    tree = Star(
         Union(Concat(Letter("a"), Concat(Star(Letter("c")), Letter("b"))), Letter("c"))
     )
+    assert compile_pattern("(ac*b+c)*", ABC) == _compile_tree(tree, ABC)
 
 
 def test_parse_empty_text_is_epsilon():
-    assert parse_regex("", AB) == EPSILON
-
-
-def test_parse_concat_right_associative():
-    assert parse_regex("abc", ABC) == Concat(
-        Letter("a"), Concat(Letter("b"), Letter("c"))
-    )
-
-
-def test_parse_union_right_associative():
-    assert parse_regex("a+b+c", ABC) == Union(
-        Letter("a"), Union(Letter("b"), Letter("c"))
-    )
+    d = compile_pattern("", AB)
+    assert d == compile_pattern("()", AB) == _compile_tree(Epsilon())
+    assert [w for w in words_up_to_oracle(AB, 3) if accepts(d, w)] == [()]
 
 
 def test_parse_star_binds_tighter_than_concat():
-    assert parse_regex("ab*", AB) == Concat(Letter("a"), Star(Letter("b")))
+    d = compile_pattern("ab*", AB)
+    assert d == compile_pattern("a(b*)", AB)
+    assert d != compile_pattern("(ab)*", AB)
 
 
 def test_parse_double_star():
-    assert parse_regex("a**", AB) == Star(Star(Letter("a")))
+    d = compile_pattern("a**", AB)
+    assert d == _compile_tree(Star(Star(Letter("a")))) == compile_pattern("a*", AB)
 
 
 def test_parse_bracketed_symbols():
-    r = parse_regex("[e0][e1]*", ("e0", "e1"))
-    assert r == Concat(Letter("e0"), Star(Letter("e1")))
+    e01 = ("e0", "e1")
+    d = compile_pattern("[e0][e1]*", e01)
+    assert d == _compile_tree(Concat(Letter("e0"), Star(Letter("e1"))), e01)
+    assert accepts(d, ("e0", "e1", "e1"))
+    assert not accepts(d, ("e1",))
 
 
 def test_parse_whitespace_ignored():
-    assert parse_regex(" a ( b + c ) ", ABC) == parse_regex("a(b+c)", ABC)
+    assert compile_pattern(" a ( b + c ) ", ABC) == compile_pattern("a(b+c)", ABC)
 
 
 def test_parse_error_carries_position():
     with pytest.raises(RegexSyntaxError) as info:
-        parse_regex("(ac*b", ABC)
+        compile_pattern("(ac*b", ABC)
     assert info.value.position == 5
 
     with pytest.raises(RegexSyntaxError) as info:
-        parse_regex("a+)b", ABC)
+        compile_pattern("a+)b", ABC)
     assert info.value.position == 2
 
 
 def test_parse_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
-        parse_regex("ad", ABC)
+        compile_pattern("ad", ABC)
     with pytest.raises(UnknownSymbolError):
-        parse_regex("[e9]", ("e0",))
+        compile_pattern("[e9]", ("e0",))
 
 
 def test_parse_nested_dyck_language():
     # two-level nesting of the block pattern
-    r = parse_regex("(a(ac*b+c)*b+c)*", ABC)
     inner = Union(Concat(Letter("a"), Concat(Star(Letter("c")), Letter("b"))), Letter("c"))
-    assert r == Star(
+    tree = Star(
         Union(
             Concat(Letter("a"), Concat(Star(inner), Letter("b"))),
             Letter("c"),
         )
     )
+    assert compile_pattern("(a(ac*b+c)*b+c)*", ABC) == _compile_tree(tree, ABC)
 
 
-def _parse_outcome(parse, text, alphabet):
-    """The tree, or the error's class, message and position."""
+def _outcome(load, text, alphabet):
+    """What load returns, or the error's class, message and position."""
     try:
-        return parse(text, alphabet)
+        return load(text, alphabet)
     except (RegexSyntaxError, UnknownSymbolError) as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
 def test_parse_matches_recursive_descent_on_random_strings():
     rng = random.Random(10)
+    alphabets = [AB, ("a", "b", "ab", " ")]
+    words = {alphabet: words_up_to_oracle(alphabet, 4) for alphabet in alphabets}
     seen = set()
     for _ in range(10_000):
         text = "".join(rng.choice("ab()+*[] c") for _ in range(rng.randint(0, 12)))
-        alphabet = rng.choice([AB, ("a", "b", "ab", " ")])
-        got = _parse_outcome(parse_regex, text, alphabet)
-        assert got == _parse_outcome(parse_regex_recursive, text, alphabet), text
-        seen.add(got[1].split(" (at")[0] if isinstance(got, tuple) else "tree")
+        alphabet = rng.choice(alphabets)
+        got = _outcome(compile_pattern, text, alphabet)
+        tree = _outcome(parse_regex_recursive, text, alphabet)
+        if isinstance(tree, tuple):
+            assert got == tree, text
+        else:
+            for w in words[alphabet]:
+                assert accepts(got, w) == re_matches(tree, w), (text, w)
+        seen.add(got[1].split(" (at")[0] if isinstance(got, tuple) else "dfa")
     # every outcome kind turned up, so none of them went untested
     assert {
-        "tree",
+        "dfa",
         "expected ')'",
         "unexpected ')'",
         "unexpected ']'",
@@ -153,10 +154,8 @@ def test_parse_and_compile_have_no_depth_limit():
     nested = "(" * 400 + "a" + ")" * 400
     assert compile_pattern(nested, AB) == compile_pattern("a", AB)
     assert compile_pattern("a" * 3000, AB).n_states == 3002
-    deep = Letter("a")
-    for _ in range(10_000):
-        deep = Star(Concat(deep, EPSILON))  # 20,000 nodes deep, left-nested
-    assert compile(deep, AB) == compile_pattern("a*", AB)
+    starred = "(" * 10_000 + "a" + ")*" * 10_000  # 10,000 groups deep
+    assert compile_pattern(starred, AB) == compile_pattern("a*", AB)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,10 @@ def test_accepts_rejects_foreign_symbol(k_dfa):
 
 
 def test_compile_checks_symbols():
-    with pytest.raises(UnknownSymbolError):
-        compile(Letter("z"), AB)
+    with pytest.raises(UnknownSymbolError, match="non-empty"):
+        compile_pattern("a", ("a", ""))
+    with pytest.raises(AlphabetMismatchError, match="duplicate"):
+        compile_pattern("a", ("a", "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_compile_checks_symbols():
 def _all_asts(size, alphabet):
     """Every regex AST of exactly the given node count."""
     if size == 1:
-        return [Empty(), Epsilon()] + [Letter(s) for s in alphabet]
+        return [Epsilon()] + [Letter(s) for s in alphabet]
     out = []
     for inner in _all_asts(size - 1, alphabet):
         out.append(Star(inner))
@@ -222,14 +223,14 @@ def test_compile_matches_derivatives_exhaustively():
     words = words_up_to_oracle(AB, 4)
     for size in range(1, 5):
         for r in _all_asts(size, AB):
-            d = compile(r, AB)
+            d = _compile_tree(r)
             for w in words:
                 assert accepts(d, w) == re_matches(r, w), (r, w)
 
 
 def _random_ast(rng, size, alphabet):
     if size <= 1:
-        return rng.choice([Empty(), Epsilon(), Letter(rng.choice(alphabet))])
+        return rng.choice([Epsilon(), Letter(rng.choice(alphabet))])
     shape = rng.choice(["star", "union", "concat"])
     if shape == "star":
         return Star(_random_ast(rng, size - 1, alphabet))
@@ -244,7 +245,7 @@ def test_compile_matches_derivatives_sampled():
     words = words_up_to_oracle(AB, 5)
     for _ in range(300):
         r = _random_ast(rng, rng.randint(5, 9), AB)
-        d = compile(r, AB)
+        d = _compile_tree(r)
         for w in words:
             assert accepts(d, w) == re_matches(r, w), (r, w)
 
@@ -253,7 +254,7 @@ def test_compile_matches_derivatives_sampled():
 def test_compile_matches_derivatives_property(seed):
     rng = random.Random(seed)
     r = _random_ast(rng, rng.randint(1, 8), AB)
-    d = compile(r, AB)
+    d = _compile_tree(r)
     for w in words_up_to_oracle(AB, 4):
         assert accepts(d, w) == re_matches(r, w)
 
@@ -285,13 +286,13 @@ def _corpus(count=60, seed=1):
 
 def test_minimize_idempotent():
     for r in _corpus():
-        d = compile(r, AB)
+        d = _compile_tree(r)
         assert minimize(d) == d
 
 
 def test_minimality_against_moore():
     for r in _corpus(seed=2):
-        d = compile(r, AB)
+        d = _compile_tree(r)
         assert d.n_states == moore_state_count(d)
 
 
@@ -337,7 +338,7 @@ def test_minimize_random_dfas_with_unreachable_states():
 
 
 def test_equivalent_matches_pair_bfs():
-    dfas = [compile(r, AB) for r in _corpus(count=30, seed=3)]
+    dfas = [_compile_tree(r) for r in _corpus(count=30, seed=3)]
     for d1, d2 in itertools.combinations(dfas, 2):
         assert equivalent(d1, d2) == equivalent_bfs(d1, d2)
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from sigma2lab.blockwords import packed_from_str
 from sigma2lab.circuits import circuit_from_json
 from sigma2lab.errors import ToolkitError
-from sigma2lab.languages import Dfa, compile_pattern, parse_regex
+from sigma2lab.languages import Dfa, compile_pattern
 
 
 def _loads_or_refuses(load, *args) -> None:
@@ -31,14 +31,6 @@ LONG = "a" * 20000
 
 
 @settings(max_examples=100)
-@given(PATTERNS, ALPHABETS)
-@example(NESTED, ["a"])
-@example(LONG, ["a"])
-def test_parse_regex_refuses_cleanly(text, alphabet):
-    _loads_or_refuses(parse_regex, text, alphabet)
-
-
-@settings(max_examples=60)
 @given(PATTERNS, ALPHABETS)
 @example(NESTED, ["a"])
 @example(LONG, ["a"])

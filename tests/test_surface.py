@@ -11,9 +11,13 @@ nothing names them.
 The same holds for every public method and property of a class there,
 but only an attribute read (x.member) or a dotted string naming it
 counts: a bare name or a dict key such as "member" does not.
+
+No module-level name in src/sigma2lab, defined or imported, private or
+public, shadows a Python builtin.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -22,7 +26,8 @@ PACKAGE = ROOT / "src" / "sigma2lab"
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _defined(tree: ast.Module) -> list[str]:
+def _bound(tree: ast.Module) -> list[str]:
+    """Names the module's top level defines or assigns, private ones too."""
     names = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -30,7 +35,22 @@ def _defined(tree: ast.Module) -> list[str]:
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+    return names
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    return [name for name in _bound(tree) if not name.startswith("_")]
+
+
+def _shadowing(tree: ast.Module) -> list[str]:
+    """Top-level names, defined or imported, that hide a builtin."""
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for alias in stmt.names
+    ]
+    return [name for name in _bound(tree) + imported if hasattr(builtins, name)]
 
 
 def _referenced(tree: ast.Module) -> set[str]:
@@ -126,6 +146,15 @@ def test_every_public_method_is_read_outside_the_tests():
     assert unreached == [], f"public methods only the tests read: {unreached}"
 
 
+def test_no_module_level_name_shadows_a_builtin():
+    shadowing = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _shadowing(_parse(path))
+    ]
+    assert shadowing == [], f"module-level names that shadow builtins: {shadowing}"
+
+
 def test_the_scan_sees_definitions_and_references():
     tree = ast.parse(
         "import x.y as z\nA = 1\n_B = 2\ndef f(): return g\nclass C: pass\n"
@@ -134,6 +163,14 @@ def test_the_scan_sees_definitions_and_references():
     assert _defined(tree) == ["A", "f", "C", "S", "T"]
     assert {"y", "g", "mod", "D", "meth"} <= _referenced(tree)
     assert not {"A", "f", "C", "sentence"} & _referenced(tree)
+
+
+def test_the_shadow_scan_sees_definitions_assignments_and_imports():
+    tree = ast.parse(
+        "from x import open\nimport os.path as input\ndef compile(): pass\n"
+        "class _C: pass\nsum = 1\nid: int = 2\nimport os\ndef inner(): len = 3\n"
+    )
+    assert sorted(_shadowing(tree)) == ["compile", "id", "input", "open", "sum"]
 
 
 def test_the_method_scan_counts_attribute_reads_and_dotted_strings_only():
