@@ -12,7 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sigma2lab.blockwords import packed_from_str
 from sigma2lab.circuits import circuit_from_json
-from sigma2lab.errors import ToolkitError
+from sigma2lab.errors import (
+    AlphabetMismatchError,
+    RegexSyntaxError,
+    ToolkitError,
+    UnknownSymbolError,
+)
 from sigma2lab.languages import Dfa, compile_pattern
 
 
@@ -31,6 +36,19 @@ LONG = "a" * 20000
 
 
 @settings(max_examples=100)
+@given(PATTERNS, ALPHABETS)
+@example(NESTED, ["a"])
+@example(LONG, ["a"])
+def test_parse_regex_refuses_cleanly(text, alphabet):
+    # compile_pattern refuses only for the pattern's syntax, its symbols or
+    # the alphabet, never with another of the package's errors
+    try:
+        compile_pattern(text, alphabet)
+    except (RegexSyntaxError, UnknownSymbolError, AlphabetMismatchError):
+        pass
+
+
+@settings(max_examples=60)
 @given(PATTERNS, ALPHABETS)
 @example(NESTED, ["a"])
 @example(LONG, ["a"])
