@@ -200,7 +200,8 @@ def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
     '+' is union, juxtaposition is concatenation, '*' is star; multi-char
     symbols go in brackets and whitespace is ignored. Malformed input
     raises RegexSyntaxError with a position, a symbol outside the
-    alphabet UnknownSymbolError.
+    alphabet UnknownSymbolError. An empty or repeated alphabet symbol is
+    refused before the pattern is read.
 
     One loop reads the pattern left to right and builds its Glushkov
     automaton as it goes: each letter occurrence is a position, numbered
@@ -218,6 +219,8 @@ def compile_pattern(text: str, alphabet: Iterable[str]) -> Dfa:
         if not sym:
             raise UnknownSymbolError("alphabet symbols must be non-empty")
     index = {sym: a for a, sym in enumerate(alpha)}
+    if len(index) != len(alpha):
+        raise AlphabetMismatchError("alphabet has duplicate symbols")
     letter_of = [-1]
     follow: list[set[int]] = [set()]
     empty_word = (True, frozenset(), frozenset())

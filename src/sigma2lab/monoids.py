@@ -7,13 +7,13 @@ representative word (ties broken lexicographically by the alphabet
 order). Its table and its J-classes are read off the Cayley graphs of
 that closure (Froidure & Pin, Algorithms for computing finite
 semigroups, 1997). The syntactic order is "more accepting is larger":
-s <= t when every context accepting s accepts t. It is read off the
-states ordered by inclusion of their residuals, s <= t iff r s <= r t
-for every state r (Pin, Syntactic semigroups, 1997), and reversed for
-the complement. Residual inclusion is read off the co-states (the sets
-of states a word leads into F, Brzozowski 1962) that the closure
-enumerates to check minimality: q's lies in r's iff every co-state
-holding q holds r.
+s <= t when every context accepting s accepts t. Each query is answered
+from the states ordered by inclusion of their residuals, s <= t iff
+r s <= r t for every state r (Pin, Syntactic semigroups, 1997), with s
+and t swapped for the complement. Residual inclusion is read off the
+co-states (the sets of states a word leads into F, Brzozowski 1962)
+that the closure enumerates to check minimality: q's lies in r's iff
+every co-state holding q holds r.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) holds iff x <= x y x for
@@ -201,19 +201,22 @@ def _j_classes(size: int, edges: list[list[int]]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OrderedMonoid:
-    """A compatible partial order on a monoid's elements, as bitmask rows.
+    """The syntactic order of a transition monoid, asked state by state.
 
-    leq_bits[s] has bit t set when s <= t, or, in the converse order,
-    when t <= s.
+    s <= t iff r s <= r t for every state r: bit q of state_order[p] is
+    set when p's residual lies in q's, and action[s][r] is r s. The
+    converse order swaps s and t.
     """
 
-    leq_bits: tuple[int, ...]
+    state_order: tuple[int, ...]
+    action: tuple[tuple[int, ...], ...]
     converse: bool = False
 
     def leq(self, s: int, t: int) -> bool:
         if self.converse:
             s, t = t, s
-        return bool(self.leq_bits[s] >> t & 1)
+        up = self.state_order
+        return all(up[p] >> q & 1 for p, q in zip(self.action[s], self.action[t]))
 
 
 def syntactic_order(morphism: Morphism) -> OrderedMonoid:
@@ -223,30 +226,10 @@ def syntactic_order(morphism: Morphism) -> OrderedMonoid:
     that of r, as morphism.state_order holds it, read off the co-states
     transition_monoid enumerates for its minimality check. Since every
     state is reachable, s <= t (every accepting context of s accepts t)
-    iff r s <= r t for every state r.
+    iff r s <= r t for every state r, which OrderedMonoid.leq tests per
+    query.
     """
-    up, action = morphism.state_order, morphism.action
-    n = len(up)
-    by_size = sorted(range(n), key=lambda q: up[q].bit_count())  # above comes first
-    # (q, p) with p just above q, q by decreasing residual; a state in between is met first
-    covers = []
-    for q in by_size:
-        covered = 1 << q
-        for p in reversed(by_size):
-            if up[q] >> p & 1 and not covered >> p & 1:
-                covers.append((q, p))
-                covered |= up[p]
-    rows = [-1] * len(action)
-    for column in zip(*action):
-        # above[q]: the elements sending the column's state to q, then,
-        # through the covers of q (done before q), to q or any state above it
-        above = [0] * n
-        for t, q in enumerate(column):
-            above[q] |= 1 << t
-        for q, p in covers:
-            above[q] |= above[p]
-        rows = [row & above[q] for row, q in zip(rows, column)]
-    return OrderedMonoid(leq_bits=tuple(rows))
+    return OrderedMonoid(morphism.state_order, morphism.action)
 
 
 # ---------------------------------------------------------------------------

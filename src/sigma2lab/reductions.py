@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockwords import A, B, block_count
-from .errors import PackError, PreconditionError
+from .blockwords import A, B, blocks
+from .errors import PreconditionError
 from .monoids import Morphism
 
 SEPARATOR = "b"
@@ -35,19 +35,8 @@ def expansion(w: str) -> str:
     A word of length r*r maps to one of length r*(r+1) over {a, b, c},
     and the image lies in (ac*b+c)* exactly when the source is good.
     """
-    r = block_count(len(w))
-    out = []
-    for idx in range(r):
-        block = w[idx * r : (idx + 1) * r]
-        for sym in block:
-            if sym == A:
-                out.append(MARK)
-            elif sym == B:
-                out.append(FILLER)
-            else:
-                raise PackError(f"letter {sym!r} in block {idx + 1} is not a or b")
-        out.append(SEPARATOR)
-    return "".join(out)
+    rewrite = str.maketrans({A: MARK, B: FILLER})
+    return "".join(block.translate(rewrite) + SEPARATOR for block in blocks(w))
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +149,12 @@ def wiring(fact: Factorization, w: str) -> tuple[int, ...]:
     word wires to a product equal to x, a bad word to x y x; the
     builders t_good and t_bad reproduce these words slot for slot.
     """
-    r = block_count(len(w))
-    ends = build_x_i(fact, r, 1)
+    split = blocks(w)
+    ends = build_x_i(fact, len(split), 1)
     parts = list(ends)
-    for b in range(r):
-        block = w[b * r : (b + 1) * r]
+    for block in split:
         for x_j, y_j in zip(fact.xs, fact.ys):
-            for sym in block:
-                if sym == A:
-                    parts.append(x_j)
-                elif sym == B:
-                    parts.append(IDENTITY)
-                else:
-                    raise PackError(f"letter {sym!r} is not a or b")
+            parts.extend(x_j if sym == A else IDENTITY for sym in block)
             parts.append(y_j)
     return tuple(parts) + ends
 

@@ -429,8 +429,7 @@ def test_wire_inapplicable_language(runner):
     assert "reason" in payload
 
 
-@pytest.mark.parametrize("lang", [[], ["--lang", "a*", "--alphabet", "a"]], ids=["fails", "holds"])
-@pytest.mark.parametrize(
+not_a_block_word = pytest.mark.parametrize(
     "word, message",
     [
         ("xyz", "length 3 is not a positive perfect square"),
@@ -438,9 +437,21 @@ def test_wire_inapplicable_language(runner):
     ],
     ids=["non-square", "foreign-letter"],
 )
+
+
+@pytest.mark.parametrize("lang", [[], ["--lang", "a*", "--alphabet", "a"]], ids=["fails", "holds"])
+@not_a_block_word
 def test_wire_refuses_a_word_that_is_not_a_block_word(runner, lang, word, message):
     # on a language that satisfies the equations the word was echoed, exit 0
     result = runner.invoke(main, ["reduce", "wire", "--word", word] + lang)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: {message}\n"
+
+
+@not_a_block_word
+def test_expand_refuses_a_word_that_is_not_a_block_word(runner, word, message):
+    result = runner.invoke(main, ["reduce", "expand", "--word", word])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"invalid input: {message}\n"
@@ -587,12 +598,13 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
 
 
 def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
-    # no element lies below any other, not even itself, so x <= xyx is
-    # denied for x = y = 1, where no context can separate
-    def empty_rows(morphism):
-        return monoids.OrderedMonoid((0,) * morphism.monoid.size)
+    # no state lies below any other, not even itself, so no element does
+    # either, and x <= xyx is denied for x = y = 1, where no context can
+    # separate
+    def empty_order(morphism):
+        return monoids.OrderedMonoid((0,) * len(morphism.state_order), morphism.action)
 
-    monkeypatch.setattr(monoids, "syntactic_order", empty_rows)
+    monkeypatch.setattr(monoids, "syntactic_order", empty_order)
     result = runner.invoke(main, ["analyze", K_PATTERN, "--alphabet", "abc"])
     assert result.exit_code == 4, result.output
     assert result.stdout == ""

@@ -198,6 +198,9 @@ def test_compile_checks_symbols():
         compile_pattern("a", ("a", ""))
     with pytest.raises(AlphabetMismatchError, match="duplicate"):
         compile_pattern("a", ("a", "a"))
+    # before the pattern is read, so ahead of its syntax errors
+    with pytest.raises(AlphabetMismatchError, match="duplicate"):
+        compile_pattern("(a+b", "aba")
 
 
 # ---------------------------------------------------------------------------

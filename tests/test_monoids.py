@@ -233,9 +233,10 @@ def test_table_matches_composition_oracle():
         ("(a+b)*a(a+b)*", AB),
         ("(aa)*", ("a",)),
         ("(ab)*", AB),
-        # the k-th letter from the end is a: 2**(k+1) states, many with
-        # several covers, each of which the order's recursion must read
+        # the (k+1)-th letter from the end is a: 2**(k+1) states
         *[("(a+b)*a" + "(a+b)" * k, AB) for k in range(1, 6)],
+        # the reversal: k+3 states, 2**(k+1) co-states
+        *[("(a+b)" * k + "a(a+b)*", AB) for k in range(1, 6)],
     ],
 )
 def test_order_matches_definitional_oracle(pattern, alphabet):
