@@ -9,16 +9,10 @@ language, factorizes the witness, and maps good words to products
 equal to x and bad words to x y x.
 """
 
-from sigma2lab.blockwords import enumerate_bad, enumerate_good, is_good, pack
+from sigma2lab.blockwords import enumerate_bad, enumerate_good, is_good, pack, unpack
 from sigma2lab.languages import accepts, compile_pattern
 from sigma2lab.monoids import recognize, up_word_accepts
-from sigma2lab.reductions import (
-    expansion,
-    factorize_subword_witness,
-    t_bad,
-    t_good,
-    wiring,
-)
+from sigma2lab.reductions import expansion, factorize_subword_witness, wiring
 
 K = "(ac*b+c)*"
 dfa = compile_pattern(K, ("a", "b", "c"))
@@ -37,12 +31,12 @@ y = rec.morphism.eval("a")
 print(f"\nfactors t={len(fact.xs)}, xs={fact.xs}, ys={fact.ys}")
 
 m = rec.monoid
-good_word = t_good(fact, 3, (1, 2, 3))
-bad_word = t_bad(fact, 3, (1, 2, 3), 2)
+good_word = wiring(fact, unpack((1, 2, 3)))
+bad_word = wiring(fact, unpack((1, None, 3)))  # block 2 carries no x
 print(f"t_good product = {m.product(good_word)} (x = {x})")
 print(f"t_bad  product = {m.product(bad_word)} (xyx = {m.mul(m.mul(x, y), x)})")
 
-# wiring letter by letter reproduces the builders on every block word
+# every good word wires to x and is up-accepted; a bad word is not
 for w in list(enumerate_good(9))[:3] + list(enumerate_bad(9))[:2]:
     wired = wiring(fact, w)
     prod = m.product(wired)

@@ -43,6 +43,9 @@ class Sigma2Circuit:
             raise CircuitStructureError("word length must be at least 1")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise CircuitStructureError("alphabet must be nonempty and duplicate free")
+        for sym in self.alphabet:
+            if not (isinstance(sym, str) and sym):
+                raise CircuitStructureError(f"alphabet symbol {sym!r} is not a nonempty string")
         if self.k < 0:
             raise CircuitStructureError("fan-in bound must be nonnegative")
         letters = set(self.alphabet)

@@ -61,7 +61,6 @@ from .monoids import (
     classify_recognition,
     recognize,
     subword_relation,
-    up_word_accepts,
 )
 from .reductions import expansion, factorize_subword_witness, p_annotate, wiring
 from .reports import class_report_to_dict, render_lines, to_json
@@ -434,7 +433,7 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
             "factors": len(fact.xs),
             "monoid_word": {"monoid_ref": lang, "elements": list(wired)},
             "product": product,
-            "up_word_accepts": up_word_accepts(rec, w.x, wired),
+            "up_word_accepts": rec.leq(w.x, product),
         },
         as_json,
     )

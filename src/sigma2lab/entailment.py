@@ -285,7 +285,6 @@ class LimitConditionReport:
     ok: bool
     failed: str | None = None  # "P1" or "P2"
     detail: str | None = None
-    counterexample: tuple | None = None
 
 
 def check_packed_limit_conditions(
@@ -333,7 +332,6 @@ def check_packed_limit_conditions(
                         "P2",
                         f"no member avoids contents {sorted(C)} at position {i} "
                         f"while matching the source on {list(P)}",
-                        (tuple(sorted(C)), P),
                     )
     return LimitConditionReport(True)
 

@@ -7,13 +7,15 @@ representative word (ties broken lexicographically by the alphabet
 order). Its table and its J-classes are read off the Cayley graphs of
 that closure (Froidure & Pin, Algorithms for computing finite
 semigroups, 1997). The syntactic order is "more accepting is larger":
-s <= t when every context accepting s accepts t. Each query is answered
-from the states ordered by inclusion of their residuals, s <= t iff
-r s <= r t for every state r (Pin, Syntactic semigroups, 1997), with s
-and t swapped for the complement. Residual inclusion is read off the
-co-states (the sets of states a word leads into F, Brzozowski 1962)
-that the closure enumerates to check minimality: q's lies in r's iff
-every co-state holding q holds r.
+s <= t when every context accepting s accepts t. syntactic_order
+answers each query from the states ordered by inclusion of their
+residuals, s <= t iff r s <= r t for every state r (Pin, Syntactic
+semigroups, 1997). Residual inclusion is read off the co-states (the
+sets of states a word leads into F, Brzozowski 1962) that the closure
+enumerates to check minimality: q's lies in r's iff every co-state
+holding q holds r. A Recognition is the minimal DFA, its morphism and
+a converse flag; the complement's bundle flips the accepting states and
+swaps s and t, and every other value is read from those three.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) holds iff x <= x y x for
@@ -196,58 +198,49 @@ def _j_classes(size: int, edges: list[list[int]]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# syntactic order
+# syntactic order and the recognition bundle
 
 
-@dataclass(frozen=True)
-class OrderedMonoid:
-    """The syntactic order of a transition monoid, asked state by state.
-
-    s <= t iff r s <= r t for every state r: bit q of state_order[p] is
-    set when p's residual lies in q's, and action[s][r] is r s. The
-    converse order swaps s and t.
-    """
-
-    state_order: tuple[int, ...]
-    action: tuple[tuple[int, ...], ...]
-    converse: bool = False
-
-    def leq(self, s: int, t: int) -> bool:
-        if self.converse:
-            s, t = t, s
-        up = self.state_order
-        return all(up[p] >> q & 1 for p, q in zip(self.action[s], self.action[t]))
-
-
-def syntactic_order(morphism: Morphism) -> OrderedMonoid:
-    """Order a transition monoid of a minimal DFA by its states.
+def syntactic_order(morphism: Morphism, s: int, t: int) -> bool:
+    """Is s <= t in the syntactic order of a minimal DFA's transition monoid?
 
     q <= r when the residual of q (the language q accepts) is included in
-    that of r, as morphism.state_order holds it, read off the co-states
+    that of r: bit r of morphism.state_order[q], read off the co-states
     transition_monoid enumerates for its minimality check. Since every
     state is reachable, s <= t (every accepting context of s accepts t)
-    iff r s <= r t for every state r, which OrderedMonoid.leq tests per
-    query.
+    iff r s <= r t for every state r, and action[s][r] is r s.
     """
-    return OrderedMonoid(morphism.state_order, morphism.action)
-
-
-# ---------------------------------------------------------------------------
-# recognition bundle
+    up, action = morphism.state_order, morphism.action
+    return all(up[p] >> q & 1 for p, q in zip(action[s], action[t]))
 
 
 @dataclass(frozen=True)
 class Recognition:
-    """Everything needed to study a language through its ordered monoid."""
+    """A minimal DFA and its transition morphism, ordered for the DFA's language.
+
+    converse marks the complement's bundle: same morphism, converse order.
+    """
 
     dfa: Dfa
-    ordered: OrderedMonoid
     morphism: Morphism
-    accepting: frozenset[int]  # elements of the monoid, an upper set
+    converse: bool = False
 
     @property
     def monoid(self) -> FiniteMonoid:
         return self.morphism.monoid
+
+    @property
+    def accepting(self) -> frozenset[int]:
+        """The elements sending the initial state into F, an upper set."""
+        d = self.dfa
+        return frozenset(
+            e for e, image in enumerate(self.morphism.action) if image[d.initial] in d.accepting
+        )
+
+    def leq(self, s: int, t: int) -> bool:
+        if self.converse:
+            s, t = t, s
+        return syntactic_order(self.morphism, s, t)
 
     def complemented(self) -> "Recognition":
         """Recognition of the complement: same monoid, converse order.
@@ -255,24 +248,14 @@ class Recognition:
         Flipping the accepting states keeps the DFA minimal and canonical.
         """
         d = self.dfa
-        return Recognition(
-            dfa=replace(d, accepting=frozenset(range(d.n_states)) - d.accepting),
-            ordered=replace(self.ordered, converse=not self.ordered.converse),
-            morphism=self.morphism,
-            accepting=frozenset(range(self.monoid.size)) - self.accepting,
-        )
+        flipped = replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
+        return replace(self, dfa=flipped, converse=not self.converse)
 
 
 def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     """Build the ordered syntactic monoid bundle for (the minimization of) d."""
     d = minimize(d)
-    morphism = transition_monoid(d, max_size=max_size)
-    # element e is accepting iff it sends the initial state into F
-    accepting = frozenset(
-        e for e, image in enumerate(morphism.action) if image[d.initial] in d.accepting
-    )
-    ordered = syntactic_order(morphism)
-    return Recognition(dfa=d, ordered=ordered, morphism=morphism, accepting=accepting)
+    return Recognition(dfa=d, morphism=transition_monoid(d, max_size=max_size))
 
 
 def neutral_letters(rec: Recognition) -> frozenset[str]:
@@ -433,7 +416,7 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
     and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
     with no separating context is wrong, and raises VerificationError.
     """
-    ordered, monoid, acc = rec.ordered, rec.monoid, rec.accepting
+    monoid, acc = rec.monoid, rec.accepting
     table, j_class = monoid.table, rec.morphism.j_class
     passed = set()  # J-classes whose first idempotent passed
     for x in monoid.idempotents():
@@ -441,7 +424,7 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
             continue
         for y in sw.subwords_of(x):
             xyx = table[table[x][y]][x]
-            if ordered.leq(x, xyx):
+            if rec.leq(x, xyx):
                 continue
             separating = (
                 (p, q)
@@ -468,7 +451,7 @@ def up_word_accepts(rec: Recognition, x: int, w: Sequence[int]) -> bool:
     This makes threshold problems over the monoid ordinary languages over
     the finite alphabet of its elements.
     """
-    return rec.ordered.leq(x, rec.monoid.product(w))
+    return rec.leq(x, rec.monoid.product(w))
 
 
 @dataclass(frozen=True)

@@ -86,77 +86,22 @@ def factorize_subword_witness(
 # the wired words
 
 
-def build_x_i(fact: Factorization, r: int, i: int) -> tuple[int, ...]:
-    """The i-slot carrier: per factor j, segment 1^(i-1) x_j 1^(r-i) y_j.
-
-    Every build_x_i evaluates to the same product x regardless of i;
-    the slot only fixes where the x_j letters sit.
-    """
-    if not 1 <= i <= r:
-        raise PreconditionError(f"slot {i} out of range 1..{r}")
-    elements: list[int] = []
-    for x_j, y_j in zip(fact.xs, fact.ys):
-        elements.extend([IDENTITY] * (i - 1))
-        elements.append(x_j)
-        elements.extend([IDENTITY] * (r - i))
-        elements.append(y_j)
-    return tuple(elements)
-
-
-def build_y(fact: Factorization, r: int) -> tuple[int, ...]:
-    """The x-free variant: per factor j, segment 1^r y_j."""
-    elements: list[int] = []
-    for y_j in fact.ys:
-        elements.extend([IDENTITY] * r)
-        elements.append(y_j)
-    return tuple(elements)
-
-
-def t_good(fact: Factorization, r: int, indices) -> tuple[int, ...]:
-    """x-carriers for every block, sandwiched: evaluates to x itself."""
-    idx = list(indices)
-    if len(idx) != r or any(not (isinstance(i, int) and 1 <= i <= r) for i in idx):
-        raise PreconditionError(f"need {r} slot indices in 1..{r}, got {indices!r}")
-    word = build_x_i(fact, r, 1)
-    for i in idx:
-        word = word + build_x_i(fact, r, i)
-    return word + build_x_i(fact, r, 1)
-
-
-def t_bad(fact: Factorization, r: int, indices, j: int) -> tuple[int, ...]:
-    """Like t_good but block j carries no x: evaluates to x y x."""
-    idx = list(indices)
-    if len(idx) != r:
-        raise PreconditionError(f"need {r} slot entries, got {indices!r}")
-    if not 1 <= j <= r:
-        raise PreconditionError(f"block {j} out of range 1..{r}")
-    word = build_x_i(fact, r, 1)
-    for pos, i in enumerate(idx, start=1):
-        if pos == j:
-            word = word + build_y(fact, r)
-        else:
-            if not (isinstance(i, int) and 1 <= i <= r):
-                raise PreconditionError(f"slot {i!r} at block {pos} out of range 1..{r}")
-            word = word + build_x_i(fact, r, i)
-    return word + build_x_i(fact, r, 1)
-
-
 def wiring(fact: Factorization, w: str) -> tuple[int, ...]:
     """Wire a block word letter by letter: b to identity, a to the x slot.
 
     Each block is replicated once per factor with its y_j appended, and
-    the whole is sandwiched between two first-slot carriers. A good
-    word wires to a product equal to x, a bad word to x y x; the
-    builders t_good and t_bad reproduce these words slot for slot.
+    the whole is sandwiched between two wirings of the block a b^(r-1),
+    the first-slot carrier. A good word wires to a product equal to x, a
+    bad word to x y x.
     """
     split = blocks(w)
-    ends = build_x_i(fact, len(split), 1)
-    parts = list(ends)
-    for block in split:
+    carrier = A + B * (len(split) - 1)
+    parts: list[int] = []
+    for block in (carrier, *split, carrier):
         for x_j, y_j in zip(fact.xs, fact.ys):
             parts.extend(x_j if sym == A else IDENTITY for sym in block)
             parts.append(y_j)
-    return tuple(parts) + ends
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

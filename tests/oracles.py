@@ -18,12 +18,14 @@ found by the breadth-first search that keeps a witness for every pair,
 and by a worklist over elements that knows no J-classes; the sigma2
 check also scans every idempotent, and sigma2 is also decided by the
 content form of its identity, which needs no subword relation.
-Five helpers live here because only tests use them:
+Some helpers live here because only tests use them:
 complement and equivalent build the complement and compare languages
 by minimal canonical forms, independently of Recognition.complemented;
 confirm_failing_pair checks an externally supplied failing equation
 pair, circuit_to_json writes the payload circuit_from_json reads, and
-delete_x_letters blanks the x slots of a wired monoid word.
+delete_x_letters blanks the x slots of a wired monoid word. The wired
+words are also built slot by slot (build_x_i, build_y, t_good, t_bad),
+the reference the package's letter-by-letter wiring is compared with.
 Slow is fine; these run at desk scale only.
 """
 
@@ -56,6 +58,7 @@ from sigma2lab.monoids import (
     SubwordRelation,
     subword_witness,
 )
+from sigma2lab.reductions import IDENTITY, Factorization
 
 # ---------------------------------------------------------------------------
 # regex trees, and the pattern text that denotes each
@@ -518,7 +521,7 @@ def scan_check_sigma2(rec, sw) -> EquationVerdict:
             if not sw.companions[x] >> y & 1:
                 continue
             xyx = table[table[x][y]][x]
-            if rec.ordered.leq(x, xyx):
+            if rec.leq(x, xyx):
                 continue
             p, q = next(
                 (p, q)
@@ -553,9 +556,9 @@ def monoid_law_failure(monoid):
     return None
 
 
-def order_law_failure(m, ordered):
-    """The first partial-order or compatibility law the order on m breaks, or None."""
-    leq = ordered.leq
+def order_law_failure(rec):
+    """The first partial-order or compatibility law rec's order breaks, or None."""
+    m, leq = rec.monoid, rec.leq
     for s in range(m.size):
         if not leq(s, s):
             return "order not reflexive"
@@ -859,7 +862,6 @@ def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport:
                         "P2",
                         f"no member avoids contents {sorted(C)} at position {i} "
                         f"while matching the source on {list(P)}",
-                        (tuple(sorted(C)), P),
                     )
     return LimitConditionReport(True)
 
@@ -915,7 +917,7 @@ def confirm_failing_pair(rec, sw, x_word, y_word) -> dict:
     xyx = table[table[x][y]][x]
     idempotent = table[x][x] == x
     in_relation = bool(sw.companions[x] >> y & 1)
-    separated = not rec.ordered.leq(x, xyx)
+    separated = not rec.leq(x, xyx)
     return {
         "x": x,
         "y": y,
@@ -948,3 +950,58 @@ def delete_x_letters(word: tuple[int, ...], r: int, i: int) -> tuple[int, ...]:
     segment is replaced by the identity, element 0.
     """
     return tuple(0 if idx % (r + 1) == i - 1 else e for idx, e in enumerate(word))
+
+
+def build_x_i(fact: Factorization, r: int, i: int) -> tuple[int, ...]:
+    """The i-slot carrier: per factor j, segment 1^(i-1) x_j 1^(r-i) y_j.
+
+    Every build_x_i evaluates to the same product x regardless of i;
+    the slot only fixes where the x_j letters sit.
+    """
+    if not 1 <= i <= r:
+        raise PreconditionError(f"slot {i} out of range 1..{r}")
+    elements: list[int] = []
+    for x_j, y_j in zip(fact.xs, fact.ys):
+        elements.extend([IDENTITY] * (i - 1))
+        elements.append(x_j)
+        elements.extend([IDENTITY] * (r - i))
+        elements.append(y_j)
+    return tuple(elements)
+
+
+def build_y(fact: Factorization, r: int) -> tuple[int, ...]:
+    """The x-free variant: per factor j, segment 1^r y_j."""
+    elements: list[int] = []
+    for y_j in fact.ys:
+        elements.extend([IDENTITY] * r)
+        elements.append(y_j)
+    return tuple(elements)
+
+
+def t_good(fact: Factorization, r: int, indices) -> tuple[int, ...]:
+    """x-carriers for every block, sandwiched: evaluates to x itself."""
+    idx = list(indices)
+    if len(idx) != r or any(not (isinstance(i, int) and 1 <= i <= r) for i in idx):
+        raise PreconditionError(f"need {r} slot indices in 1..{r}, got {indices!r}")
+    word = build_x_i(fact, r, 1)
+    for i in idx:
+        word = word + build_x_i(fact, r, i)
+    return word + build_x_i(fact, r, 1)
+
+
+def t_bad(fact: Factorization, r: int, indices, j: int) -> tuple[int, ...]:
+    """Like t_good but block j carries no x: evaluates to x y x."""
+    idx = list(indices)
+    if len(idx) != r:
+        raise PreconditionError(f"need {r} slot entries, got {indices!r}")
+    if not 1 <= j <= r:
+        raise PreconditionError(f"block {j} out of range 1..{r}")
+    word = build_x_i(fact, r, 1)
+    for pos, i in enumerate(idx, start=1):
+        if pos == j:
+            word = word + build_y(fact, r)
+        else:
+            if not (isinstance(i, int) and 1 <= i <= r):
+                raise PreconditionError(f"slot {i!r} at block {pos} out of range 1..{r}")
+            word = word + build_x_i(fact, r, i)
+    return word + build_x_i(fact, r, 1)

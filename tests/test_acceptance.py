@@ -19,6 +19,8 @@ from oracles import (
     complement,
     confirm_failing_pair,
     equivalent,
+    t_bad,
+    t_good,
 )
 from sigma2lab.blockwords import (
     enumerate_bad,
@@ -54,8 +56,6 @@ from sigma2lab.monoids import (
 from sigma2lab.reductions import (
     expansion,
     factorize_subword_witness,
-    t_bad,
-    t_good,
     wiring,
 )
 from sigma2lab.reports import replay_equation_witness

@@ -572,12 +572,19 @@ def test_adversary_fanin_above_k_exits_two(runner):
         (["lab", "flower", "--n", "9", "-p", "2", "--sample", "-1"], 2),
         (["lab", "tangled", "--n", "9", "--k", "1", "--sample", "-2"], 2),
         (["lab", "dichotomy", "--samples", "-1"], 2),
+        # an alphabet symbol that is not a string is refused before any gate runs
+        (["circuit", "adversary", "--circuit", "{tmp}/int_letter.json"], 2),
     ],
 )
 def test_errors_exit_with_their_code_and_one_stderr_line(
     runner, tmp_path, monkeypatch, args, code
 ):
     (tmp_path / "bad.json").write_text('{"n": 9', encoding="utf-8")
+    (tmp_path / "int_letter.json").write_text(
+        '{"n": 4, "alphabet": ["a", 1], "k": 1, "top": [[{"pos": 1, "letter": "a"}]],'
+        ' "and": [[0]], "bottom": [0]}',
+        encoding="utf-8",
+    )
     if code == 4:
 
         def failing_self_check(word):
@@ -598,13 +605,9 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
 
 
 def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
-    # no state lies below any other, not even itself, so no element does
-    # either, and x <= xyx is denied for x = y = 1, where no context can
-    # separate
-    def empty_order(morphism):
-        return monoids.OrderedMonoid((0,) * len(morphism.state_order), morphism.action)
-
-    monkeypatch.setattr(monoids, "syntactic_order", empty_order)
+    # no element lies below any other, not even itself, so x <= xyx is
+    # denied for x = y = 1, where no context can separate
+    monkeypatch.setattr(monoids, "syntactic_order", lambda morphism, s, t: False)
     result = runner.invoke(main, ["analyze", K_PATTERN, "--alphabet", "abc"])
     assert result.exit_code == 4, result.output
     assert result.stdout == ""

@@ -222,7 +222,8 @@ def test_conditions_reject_singleton_family():
     report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(1, 1, 1)], 3), 1)
     assert not report.ok
     assert report.failed == "P2"
-    assert report.counterexample is not None
+    assert "contents [1] at position 1" in report.detail
+    assert "on []" in report.detail
 
 
 def test_conditions_reject_unemptied_difference():

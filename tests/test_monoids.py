@@ -142,7 +142,7 @@ def test_block_language_monoid_frozen(k_rec):
 
 def test_monoid_laws_validate(k_rec):
     assert monoid_law_failure(k_rec.monoid) is None
-    assert order_law_failure(k_rec.monoid, k_rec.ordered) is None
+    assert order_law_failure(k_rec) is None
 
 
 @pytest.mark.parametrize("d", [BLOATED, UNREACHED], ids=["equal-residuals", "unreached"])
@@ -248,7 +248,7 @@ def test_order_matches_definitional_oracle(pattern, alphabet):
             (s, t)
             for s in range(side.monoid.size)
             for t in range(side.monoid.size)
-            if side.ordered.leq(s, t)
+            if side.leq(s, t)
         }
         assert computed == brute
 
@@ -257,22 +257,22 @@ def test_order_upper_set(k_rec):
     m = k_rec.monoid
     for s in k_rec.accepting:
         for t in range(m.size):
-            if k_rec.ordered.leq(s, t):
+            if k_rec.leq(s, t):
                 assert t in k_rec.accepting
 
 
 def test_contains_a_order():
     rec = _rec("(a+b)*a(a+b)*", AB)
     one, z = rec.monoid.identity, rec.morphism.image("a")
-    assert rec.ordered.leq(one, z)
-    assert not rec.ordered.leq(z, one)
+    assert rec.leq(one, z)
+    assert not rec.leq(z, one)
 
 
 def test_block_language_order_refuses_xyx(k_rec):
     h = k_rec.morphism
     x = h.eval("abab")
     xyx = h.eval("ababbaabab")
-    assert not k_rec.ordered.leq(x, xyx)
+    assert not k_rec.leq(x, xyx)
     # the separating context is empty on both sides
     assert accepts(k_rec.dfa, "abab")
     assert not accepts(k_rec.dfa, "ababbaabab")
@@ -284,7 +284,7 @@ def test_random_orders_match_definitional_oracle():
             brute = definitional_order(side.monoid, side.accepting)
             m = side.monoid.size
             computed = {
-                (s, t) for s in range(m) for t in range(m) if side.ordered.leq(s, t)
+                (s, t) for s in range(m) for t in range(m) if side.leq(s, t)
             }
             assert computed == brute
 
@@ -307,23 +307,24 @@ def test_complemented_recognition(k_rec):
     # the flipped order still leaves the flipped accepting set upward closed
     for s in co.accepting:
         for t in range(6):
-            if co.ordered.leq(s, t):
+            if co.leq(s, t):
                 assert t in co.accepting
     # complementing twice gives back the language's order
-    assert co.complemented().ordered == k_rec.ordered
+    assert co.complemented() == k_rec
 
 
-def test_one_syntactic_order_per_language(monkeypatch, k_dfa):
+def test_the_complement_asks_the_order_with_s_and_t_swapped(monkeypatch, k_rec):
     calls = []
 
-    def counted(morphism):
-        calls.append(morphism)
-        return syntactic_order(morphism)
+    def recorded(morphism, s, t):
+        calls.append((morphism, s, t))
+        return syntactic_order(morphism, s, t)
 
-    monkeypatch.setattr(monoids, "syntactic_order", counted)
-    rec = recognize(k_dfa)
-    class_report_to_dict(rec, classify_recognition(rec))
-    assert len(calls) == 1
+    monkeypatch.setattr(monoids, "syntactic_order", recorded)
+    k_rec.leq(1, 4)
+    k_rec.complemented().leq(1, 4)
+    assert calls == [(k_rec.morphism, 1, 4), (k_rec.morphism, 4, 1)]
+    assert all(morphism is k_rec.morphism for morphism, _, _ in calls)
 
 
 # ---------------------------------------------------------------------------

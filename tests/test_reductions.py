@@ -2,20 +2,16 @@
 
 import pytest
 
-from oracles import delete_x_letters
+from oracles import build_x_i, build_y, delete_x_letters, t_bad, t_good
 from sigma2lab.blockwords import enumerate_bad, enumerate_good, pack
 from sigma2lab.errors import NonSquareLengthError, PackError, PreconditionError
 from sigma2lab.languages import accepts, compile_pattern
 from sigma2lab.monoids import subword_witness
 from sigma2lab.reductions import (
     Factorization,
-    build_x_i,
-    build_y,
     expansion,
     factorize_subword_witness,
     p_annotate,
-    t_bad,
-    t_good,
     wiring,
 )
 

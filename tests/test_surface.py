@@ -9,8 +9,11 @@ cli.py is exempt: click registers its commands by decorator, so
 nothing names them.
 
 The same holds for every public method and property of a class there,
-but only an attribute read (x.member) or a dotted string naming it
-counts: a bare name or a dict key such as "member" does not.
+and for every public field annotated in its body, but only an attribute
+read (x.member) or a dotted string naming it counts: a bare name or a
+dict key such as "member" does not. The scan goes by name, not by class:
+LimitConditionReport.failed counts as read because perfbench/run.py
+reads res.failed of another class.
 
 No module-level name in src/sigma2lab, defined or imported, private or
 public, shadows a Python builtin.
@@ -81,6 +84,19 @@ def _methods(tree: ast.Module) -> list[str]:
     ]
 
 
+def _fields(tree: ast.Module) -> list[str]:
+    """Class.name for every public field annotated in a module-level class body."""
+    return [
+        f"{stmt.name}.{item.target.id}"
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        for item in stmt.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and not item.target.id.startswith("_")
+    ]
+
+
 def _attributes_read(tree: ast.Module) -> set[str]:
     """Attributes read, and the parts of dotted strings."""
     found = set()
@@ -125,14 +141,14 @@ def unreached_names() -> list[str]:
     ]
 
 
-def unreached_methods() -> list[str]:
-    """module.Class.name for every public method nothing outside the tests reads."""
+def unread_members(members) -> list[str]:
+    """module.Class.name for every member nothing outside the tests reads."""
     read = set().union(*map(_attributes_read, _users()))
     return [
-        f"{stem}.{method}"
+        f"{stem}.{member}"
         for stem, tree in _modules()
-        for method in _methods(tree)
-        if method.split(".")[1] not in read
+        for member in members(tree)
+        if member.split(".")[1] not in read
     ]
 
 
@@ -142,8 +158,13 @@ def test_every_public_name_is_reached_outside_the_tests():
 
 
 def test_every_public_method_is_read_outside_the_tests():
-    unreached = unreached_methods()
+    unreached = unread_members(_methods)
     assert unreached == [], f"public methods only the tests read: {unreached}"
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    unread = unread_members(_fields)
+    assert unread == [], f"fields only the tests read: {unread}"
 
 
 def test_no_module_level_name_shadows_a_builtin():
@@ -182,3 +203,13 @@ def test_the_method_scan_counts_attribute_reads_and_dotted_strings_only():
     assert _methods(tree) == ["C.m", "C.p"]
     assert {"a", "mod", "C", "meth"} <= _attributes_read(tree)
     assert not {"b", "member"} & _attributes_read(tree)
+
+
+def test_the_field_scan_sees_annotated_public_fields_of_top_level_classes():
+    tree = ast.parse(
+        "class D:\n    f: int\n    g: str = 'x'\n    _h: int = 0\n    k = 1\n"
+        "    def m(self): pass\n"
+        "def outer():\n    class E:\n        e: int\n"
+        "top: int = 2\n"
+    )
+    assert _fields(tree) == ["D.f", "D.g"]
