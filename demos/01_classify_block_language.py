@@ -25,13 +25,13 @@ print(f"idempotents: {rec.monoid.idempotents()}")
 print(f"neutral letters: {sorted(neutral_letters(rec))}")
 
 report = classify(dfa, description=K)
-print(f"sigma2: {report.sigma2.holds}")
-print(f"pi2:    {report.pi2.holds}")
+print(f"sigma2: {report.sigma2 is None}")
+print(f"pi2:    {report.pi2 is None}")
 print(f"delta2: {report.delta2}")
 
-# the failing equation comes with a witness: an idempotent x, a subword
-# y of x, and a context (p, q) with p x q accepted but p xyx q rejected
-w = report.sigma2.witness
+# the failing equation is its witness: an idempotent x, a subword y of
+# x, and a context (p, q) with p x q accepted but p xyx q rejected
+w = report.sigma2
 print(f"\nfailing pair: x = h({''.join(w.x_word)}), y = h({''.join(w.y_word)})")
 print(f"subword embedding: {w.pair_witness.word} at positions {w.pair_witness.positions}")
 

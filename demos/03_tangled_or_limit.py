@@ -24,10 +24,10 @@ from sigma2lab.entailment import (
 # any single position entails all the others
 diagonal = [unpack((c, c, c)) for c in (1, 2, 3)]
 report = is_tangled(diagonal, 1)
-print(f"diagonal family tangled at k=1: {report.tangled}")
+print(f"diagonal family tangled at k=1: {report.witness is None}")
 
 enc = tangled_encoding(diagonal, 1)
-print(f"members {enc.family_size}, bound {enc.bound} = counting_bound(3,1) = {counting_bound(3, 1)}")
+print(f"members {len(enc.codes)}, bound {enc.bound} = counting_bound(3,1) = {counting_bound(3, 1)}")
 for mu, code in enc.codes.items():
     print(
         f"  {packed_to_str(mu)} -> free {code.free_positions} = {code.free_contents},"

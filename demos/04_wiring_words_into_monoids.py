@@ -33,8 +33,8 @@ print(f"\nfactors t={len(fact.xs)}, xs={fact.xs}, ys={fact.ys}")
 m = rec.monoid
 good_word = wiring(fact, unpack((1, 2, 3)))
 bad_word = wiring(fact, unpack((1, None, 3)))  # block 2 carries no x
-print(f"t_good product = {m.product(good_word)} (x = {x})")
-print(f"t_bad  product = {m.product(bad_word)} (xyx = {m.mul(m.mul(x, y), x)})")
+print(f"wired good word product = {m.product(good_word)} (x = {x})")
+print(f"wired bad word product  = {m.product(bad_word)} (xyx = {m.mul(m.mul(x, y), x)})")
 
 # every good word wires to x and is up-accepted; a bad word is not
 for w in list(enumerate_good(9))[:3] + list(enumerate_bad(9))[:2]:

@@ -302,13 +302,12 @@ def tangled(
     }
     if result.tangled:
         enc = result.encoding
-        payload["witness"] = None
-        payload["verification"] = {
-            "distinct_codes": len(set(enc.codes.values())) == enc.family_size,
-            "within_bound": enc.family_size <= enc.bound,
-            "bound": enc.bound,
-            "passed": True,
+        checks = {
+            "distinct_codes": len(set(enc.codes.values())) == len(enc.codes),
+            "within_bound": len(enc.codes) <= enc.bound,
         }
+        payload["witness"] = None
+        payload["verification"] = {**checks, "bound": enc.bound, "passed": all(checks.values())}
     else:
         limit = result.limit
         payload["witness"] = {
@@ -348,7 +347,7 @@ def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:
         if result.tangled:
             entry["witness"] = {
                 "bound": result.encoding.bound,
-                "members": result.encoding.family_size,
+                "members": len(result.encoding.codes),
             }
         else:
             entry["witness"] = {
@@ -405,9 +404,8 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
     """Wire a word through the failing equation pair of a language."""
     check_block_word(word)
     rec = recognize(compile_pattern(lang, tuple(alphabet)))
-    sw = subword_relation(rec.morphism)
-    verdict = check_sigma2(rec, sw)
-    if verdict.holds:
+    w = check_sigma2(rec, subword_relation(rec.morphism))
+    if w is None:
         _emit(
             {
                 "input": {"word": word, "lang": lang},
@@ -417,7 +415,6 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
             as_json,
         )
         return
-    w = verdict.witness
     fact = factorize_subword_witness(
         rec.morphism, w.pair_witness.word, w.pair_witness.positions
     )

@@ -203,7 +203,8 @@ def check_search_budget(r: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class TangledReport:
-    tangled: bool
+    """The family is tangled iff witness is None."""
+
     k: int
     index: FamilyIndex = field(repr=False)  # the packed family, sorted, and its masks
     witness: tuple[Packed, int] | None
@@ -236,14 +237,14 @@ def is_tangled(family, k: int) -> TangledReport:
         for i in range(1, r + 1):
             found = find_entailment(index, k, pairs, i)
             if found is None:
-                return TangledReport(False, k, index, (mu, i), certificates)
+                return TangledReport(k, index, (mu, i), certificates)
             S, D = found
             if (i, mu[i - 1]) not in D or not entails(S, D, index.members):
                 raise VerificationError(
                     "certificate does not entail the member's own pair"
                 )
             certificates[(mu, i)] = found
-    return TangledReport(True, k, index, None, certificates)
+    return TangledReport(k, index, None, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,9 @@ def bad_limit_via_entailment(family, k: int) -> EntailmentLimit | None:
     The returned word is checked exhaustively against the definition of
     a limit before it is handed out.
     """
+    family = list(family)  # read twice: packed, then probed
     report = is_tangled(family, k)
-    return None if report.tangled else _limit(report, family)
+    return None if report.witness is None else _limit(report, family)
 
 
 def _limit(report: TangledReport, family) -> EntailmentLimit:
@@ -282,15 +284,14 @@ def _limit(report: TangledReport, family) -> EntailmentLimit:
 
 @dataclass(frozen=True)
 class LimitConditionReport:
-    ok: bool
-    failed: str | None = None  # "P1" or "P2"
-    detail: str | None = None
+    failed: str  # "P1" or "P2"
+    detail: str
 
 
 def check_packed_limit_conditions(
     mu: Packed, nu: Packed, index: FamilyIndex, k: int
-) -> LimitConditionReport:
-    """The two packed-level conditions that force unpack(mu) to be a limit.
+) -> LimitConditionReport | None:
+    """Which packed-level condition fails, or None when both hold.
 
     P1: nu belongs to the family and mu is nu with exactly one block emptied.
     P2: for the emptied position i, whenever forbidden contents C (with
@@ -303,19 +304,19 @@ def check_packed_limit_conditions(
     """
     members, r = index.members, index.r
     if not members:
-        return LimitConditionReport(False, "P1", "family is empty")
+        return LimitConditionReport("P1", "family is empty")
     if len(mu) != r or len(nu) != r:
-        return LimitConditionReport(False, "P1", "length mismatch with family")
+        return LimitConditionReport("P1", "length mismatch with family")
     if nu not in members:
-        return LimitConditionReport(False, "P1", "source member is not in the family")
+        return LimitConditionReport("P1", "source member is not in the family")
     diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
     if len(diffs) != 1:
         return LimitConditionReport(
-            False, "P1", f"words differ at {len(diffs)} positions, need exactly 1"
+            "P1", f"words differ at {len(diffs)} positions, need exactly 1"
         )
     i = diffs[0]
     if mu[i - 1] is not None:
-        return LimitConditionReport(False, "P1", "the differing block must be emptied")
+        return LimitConditionReport("P1", "the differing block must be emptied")
 
     nu_i = nu[i - 1]
     other_contents = [c for c in range(1, r + 1) if c != nu_i]
@@ -328,12 +329,11 @@ def check_packed_limit_conditions(
             for P in combinations(other_positions, p_size):
                 if not avoid & index.matching((p, nu[p - 1]) for p in P):
                     return LimitConditionReport(
-                        False,
                         "P2",
                         f"no member avoids contents {sorted(C)} at position {i} "
                         f"while matching the source on {list(P)}",
                     )
-    return LimitConditionReport(True)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,8 @@ def counting_bound(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class EncodingReport:
-    family_size: int
+    """Each member's code; the family has len(codes) members."""
+
     bound: int
     codes: dict = field(hash=False, repr=False, default_factory=dict)
 
@@ -469,7 +470,7 @@ def tangled_encoding(family, k: int) -> EncodingReport:
     than trusted.
     """
     report = is_tangled(family, k)
-    if not report.tangled:
+    if report.witness is not None:
         nu, i = report.witness
         raise NotTangledError(
             f"family is not tangled: member {nu} has no certificate at position {i}"
@@ -495,7 +496,7 @@ def _encoding(report: TangledReport) -> EncodingReport:
         raise VerificationError(
             f"tangled family of {len(members)} members exceeds the bound {bound}"
         )
-    return EncodingReport(family_size=len(members), bound=bound, codes=codes)
+    return EncodingReport(bound=bound, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +519,15 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     also passes the packed-level conditions. Either failure raises
     VerificationError. Exactly one side applies to any family.
     """
+    family = list(family)  # read twice: packed, then probed
     report = is_tangled(family, k)
     size = report.family_size
-    if report.tangled:
+    if report.witness is None:
         return DichotomyResult(tangled=True, family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)
-    conditions = check_packed_limit_conditions(limit.packed, limit.source, report.index, k)
-    if not conditions.ok:
+    failure = check_packed_limit_conditions(limit.packed, limit.source, report.index, k)
+    if failure is not None:
         raise VerificationError(
-            f"limit conditions failed on a constructed limit: {conditions.detail}"
+            f"limit conditions failed on a constructed limit: {failure.detail}"
         )
     return DichotomyResult(tangled=False, family_size=size, limit=limit)

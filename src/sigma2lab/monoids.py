@@ -11,11 +11,11 @@ s <= t when every context accepting s accepts t. syntactic_order
 answers each query from the states ordered by inclusion of their
 residuals, s <= t iff r s <= r t for every state r (Pin, Syntactic
 semigroups, 1997). Residual inclusion is read off the co-states (the
-sets of states a word leads into F, Brzozowski 1962) that the closure
-enumerates to check minimality: q's lies in r's iff every co-state
-holding q holds r. A Recognition is the minimal DFA, its morphism and
-a converse flag; the complement's bundle flips the accepting states and
-swaps s and t, and every other value is read from those three.
+sets of states a word leads into F, Brzozowski 1962) that the minimality
+check enumerates: q's lies in r's iff every co-state holding q holds r.
+A Recognition is the minimal DFA, its morphism and a converse flag; the
+complement's bundle flips the accepting states and swaps s and t, and
+every other value is read from those three.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) holds iff x <= x y x for
@@ -23,7 +23,8 @@ every idempotent x and every y that the monoid-level subword relation
 pairs with x; pi2 is the check on the complement, delta2 both. A
 J-class shares one bitset of companions (the x paired with a y form an
 ideal), and its idempotents are conjugate, so both run once per class.
-A failing pair's shortest witness is searched for once per morphism.
+A failing pair's shortest witness is searched for once per morphism;
+a check returns the witness of its first failure, or None when it holds.
 """
 
 from __future__ import annotations
@@ -105,37 +106,16 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     identity, so indices are stable for a given DFA. Row s of the table
     is row suffix[s], the rest of its representative after the first
     letter, mapped through left multiplication by that letter (Froidure
-    & Pin 1997). The co-states found on the way order the states by
-    residual inclusion. Raises NotMinimalError for non-minimal input
-    (minimize first), ahead of MonoidSizeError beyond max_size elements.
+    & Pin 1997). Before the closure, the DFA's co-states order its states
+    by residual inclusion, and NotMinimalError (minimize first) refuses a
+    DFA with an unreached state or two equal residuals, ahead of
+    MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
-
-    def refuse() -> None:  # the monoid outgrows max_size; non-minimal input first
-        if minimize(d).n_states != n:
-            raise NotMinimalError(_NOT_MINIMAL)
-        raise MonoidSizeError(f"transition monoid exceeds {max_size} elements")
-
-    if max_size < 1:  # the identity counts
-        refuse()
     gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
-    index = {tuple(range(n)): 0}
-    elements = list(index)
-    words: list[Word] = [()]
-    right: list[list[int]] = [[] for _ in gens]  # right[a][s]: s a
-    first, suffix = [-1], [0]  # s = (letter first[s]) (element suffix[s])
-    for s, image in enumerate(elements):
-        for a, g in enumerate(gens):
-            composed = tuple(map(g.__getitem__, image))
-            t = index.setdefault(composed, len(elements))
-            if t == len(elements):
-                if t >= max_size:
-                    refuse()
-                elements.append(composed)
-                words.append(words[s] + (d.alphabet[a],))
-                first.append(first[s] if s else a)
-                suffix.append(right[a][suffix[s]] if s else 0)
-            right[a].append(t)
+    reached = [d.initial]
+    for q in reached:
+        reached += {p for p in d.delta[q] if p not in reached}
     # a co-state: the states some word leads into F, as a bitset
     masks = [sum(1 << q for q in d.accepting)]
     seen = set(masks)
@@ -149,8 +129,28 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
         for q in _members(mask):
             up[q] &= mask
     # minimal: every state reached, and no two with the same residual
-    if len({e[d.initial] for e in elements}) < n or len(set(up)) < n:
+    if len(reached) < n or len(set(up)) < n:
         raise NotMinimalError(_NOT_MINIMAL)
+    too_many = f"transition monoid exceeds {max_size} elements"
+    if max_size < 1:  # the identity counts
+        raise MonoidSizeError(too_many)
+    index = {tuple(range(n)): 0}
+    elements = list(index)
+    words: list[Word] = [()]
+    right: list[list[int]] = [[] for _ in gens]  # right[a][s]: s a
+    first, suffix = [-1], [0]  # s = (letter first[s]) (element suffix[s])
+    for s, image in enumerate(elements):
+        for a, g in enumerate(gens):
+            composed = tuple(map(g.__getitem__, image))
+            t = index.setdefault(composed, len(elements))
+            if t == len(elements):
+                if t >= max_size:
+                    raise MonoidSizeError(too_many)
+                elements.append(composed)
+                words.append(words[s] + (d.alphabet[a],))
+                first.append(first[s] if s else a)
+                suffix.append(right[a][suffix[s]] if s else 0)
+            right[a].append(t)
     left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
     rows = [tuple(range(len(elements)))]  # row s: s t for every t
     for s in range(1, len(elements)):
@@ -400,17 +400,12 @@ class EquationWitness:
     pair_witness: SubwordWitness
 
 
-@dataclass(frozen=True)
-class EquationVerdict:
-    holds: bool
-    witness: EquationWitness | None = None
+def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | None:
+    """Where x <= x y x fails for an idempotent x and a subword companion y.
 
-
-def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
-    """Does x <= x y x hold for every idempotent x and subword companion y?
-
-    Scans idempotents and companions in index order and returns the first
-    failure with the first separating context, so verdicts are stable.
+    None when it holds for every such pair. Idempotents and companions are
+    scanned in index order, and the first failure comes with the first
+    separating context, so witnesses are stable.
     An idempotent whose J-class passed is skipped: two idempotents of one
     class are conjugate, e = a b and f = b a, with the same companions,
     and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
@@ -439,10 +434,9 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationVerdict:
                     "but no context separates x from xyx"
                 )
             rep, pair = rec.morphism.representative, subword_witness(rec.morphism, (x, y))
-            witness = EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
-            return EquationVerdict(holds=False, witness=witness)
+            return EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
         passed.add(j_class[x])
-    return EquationVerdict(holds=True)
+    return None
 
 
 def up_word_accepts(rec: Recognition, x: int, w: Sequence[int]) -> bool:
@@ -456,20 +450,16 @@ def up_word_accepts(rec: Recognition, x: int, w: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Verdicts for one language, with monoid statistics and witnesses."""
+    """Verdicts for one language: each equation's failing witness, or None."""
 
     description: str
-    alphabet: tuple[str, ...]
-    monoid_size: int
-    idempotent_count: int
     subword_pair_count: int
-    neutral: tuple[str, ...]
-    sigma2: EquationVerdict
-    pi2: EquationVerdict
+    sigma2: EquationWitness | None
+    pi2: EquationWitness | None  # found on the complement
 
     @property
     def delta2(self) -> bool:
-        return self.sigma2.holds and self.pi2.holds
+        return self.sigma2 is None and self.pi2 is None
 
 
 def classify(d: Dfa, description: str = "") -> ClassReport:
@@ -485,16 +475,10 @@ def classify(d: Dfa, description: str = "") -> ClassReport:
 def classify_recognition(rec: Recognition, description: str = "") -> ClassReport:
     """classify for callers that already hold the recognition bundle."""
     sw = subword_relation(rec.morphism)
-    sigma2 = check_sigma2(rec, sw)
-    pi2 = check_sigma2(rec.complemented(), sw)
     return ClassReport(
         description=description,
-        alphabet=rec.morphism.alphabet,
-        monoid_size=rec.monoid.size,
-        idempotent_count=len(rec.monoid.idempotents()),
         subword_pair_count=sum(bits.bit_count() for bits in sw.companions),
-        neutral=tuple(sorted(neutral_letters(rec))),
-        sigma2=sigma2,
-        pi2=pi2,
+        sigma2=check_sigma2(rec, sw),
+        pi2=check_sigma2(rec.complemented(), sw),
     )
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 import json
 
 from .languages import accepts
-from .monoids import ClassReport, EquationWitness, Morphism, Recognition, SubwordWitness
+from .monoids import (
+    ClassReport,
+    EquationWitness,
+    Morphism,
+    Recognition,
+    SubwordWitness,
+    neutral_letters,
+)
 
 
 def _word_str(word: tuple[str, ...]) -> str:
@@ -74,32 +81,39 @@ def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
     return checks
 
 
-def verdict_to_dict(rec: Recognition, verdict) -> dict:
-    out: dict = {"holds": verdict.holds}
-    if verdict.witness is not None:
-        out["witness"] = witness_to_dict(verdict.witness)
-        out["replay"] = replay_equation_witness(rec, verdict.witness)
-    return out
+def verdict_to_dict(rec: Recognition, witness: EquationWitness | None) -> dict:
+    """An equation's verdict: it holds, or its witness and the witness's replay."""
+    if witness is None:
+        return {"holds": True}
+    return {
+        "holds": False,
+        "witness": witness_to_dict(witness),
+        "replay": replay_equation_witness(rec, witness),
+    }
 
 
 def class_report_to_dict(rec: Recognition, report: ClassReport) -> dict:
-    """The full classification verdict as one JSON-ready dictionary."""
+    """The full classification verdict as one JSON-ready dictionary.
+
+    The alphabet and the monoid's statistics come from rec, which report
+    was made from.
+    """
     delta2: dict = {"holds": report.delta2}
     if not report.delta2:
         delta2["fails_on"] = [
             name
-            for name, verdict in (("sigma2_lt", report.sigma2), ("pi2_lt", report.pi2))
-            if not verdict.holds
+            for name, witness in (("sigma2_lt", report.sigma2), ("pi2_lt", report.pi2))
+            if witness is not None
         ]
     return {
         "description": report.description,
-        "alphabet": list(report.alphabet),
+        "alphabet": list(rec.morphism.alphabet),
         "monoid": {
-            "size": report.monoid_size,
-            "idempotents": report.idempotent_count,
+            "size": rec.monoid.size,
+            "idempotents": len(rec.monoid.idempotents()),
             "subword_pairs": report.subword_pair_count,
         },
-        "neutral_letters": list(report.neutral),
+        "neutral_letters": sorted(neutral_letters(rec)),
         "sigma2_lt": verdict_to_dict(rec, report.sigma2),
         "pi2_lt": verdict_to_dict(rec.complemented(), report.pi2),
         "delta2_lt": delta2,

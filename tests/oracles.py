@@ -51,7 +51,6 @@ from sigma2lab.errors import (
 )
 from sigma2lab.languages import Dfa, accepts, minimize
 from sigma2lab.monoids import (
-    EquationVerdict,
     EquationWitness,
     FiniteMonoid,
     Morphism,
@@ -508,11 +507,12 @@ def worklist_subword_relation(morphism) -> SubwordRelation:
     return SubwordRelation(tuple(companions))
 
 
-def scan_check_sigma2(rec, sw) -> EquationVerdict:
+def scan_check_sigma2(rec, sw) -> EquationWitness | None:
     """The sigma2 equation checked at every idempotent, with no J-classes.
 
     Idempotents and companions in index order; the first failure comes
-    with the first separating context and the package's pair witness.
+    with the first separating context and the package's pair witness,
+    and None means the equation holds.
     """
     monoid, table, acc = rec.monoid, rec.monoid.table, rec.accepting
     rep = rec.morphism.representative
@@ -529,20 +529,17 @@ def scan_check_sigma2(rec, sw) -> EquationVerdict:
                 for q in range(monoid.size)
                 if table[table[p][x]][q] in acc and table[table[p][xyx]][q] not in acc
             )
-            return EquationVerdict(
-                holds=False,
-                witness=EquationWitness(
-                    x=x,
-                    y=y,
-                    context=(p, q),
-                    x_word=rep[x],
-                    y_word=rep[y],
-                    p_word=rep[p],
-                    q_word=rep[q],
-                    pair_witness=subword_witness(rec.morphism, (x, y)),
-                ),
+            return EquationWitness(
+                x=x,
+                y=y,
+                context=(p, q),
+                x_word=rep[x],
+                y_word=rep[y],
+                p_word=rep[p],
+                q_word=rep[q],
+                pair_witness=subword_witness(rec.morphism, (x, y)),
             )
-    return EquationVerdict(holds=True)
+    return None
 
 
 def monoid_law_failure(monoid):
@@ -827,24 +824,24 @@ def scan_find_entailment(Phi, r: int, k: int, available, i: int):
     return None
 
 
-def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport:
-    """P1 and P2, with every (C, P) probe scanning the members."""
+def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport | None:
+    """P1 and P2, with every (C, P) probe scanning the members; None if both hold."""
     members = sorted(set(Phi))
     if not members:
-        return LimitConditionReport(False, "P1", "family is empty")
+        return LimitConditionReport("P1", "family is empty")
     r = len(members[0])
     if len(mu) != r or len(nu) != r:
-        return LimitConditionReport(False, "P1", "length mismatch with family")
+        return LimitConditionReport("P1", "length mismatch with family")
     if nu not in members:
-        return LimitConditionReport(False, "P1", "source member is not in the family")
+        return LimitConditionReport("P1", "source member is not in the family")
     diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
     if len(diffs) != 1:
         return LimitConditionReport(
-            False, "P1", f"words differ at {len(diffs)} positions, need exactly 1"
+            "P1", f"words differ at {len(diffs)} positions, need exactly 1"
         )
     i = diffs[0]
     if mu[i - 1] is not None:
-        return LimitConditionReport(False, "P1", "the differing block must be emptied")
+        return LimitConditionReport("P1", "the differing block must be emptied")
     nu_i = nu[i - 1]
     other_contents = [c for c in range(1, r + 1) if c != nu_i]
     other_positions = [p for p in range(1, r + 1) if p != i]
@@ -858,12 +855,11 @@ def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport:
                     for lam in members
                 ):
                     return LimitConditionReport(
-                        False,
                         "P2",
                         f"no member avoids contents {sorted(C)} at position {i} "
                         f"while matching the source on {list(P)}",
                     )
-    return LimitConditionReport(True)
+    return None
 
 
 def naive_and(circuit, gate: int, word: str) -> bool:

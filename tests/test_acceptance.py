@@ -49,6 +49,7 @@ from sigma2lab.flowers import bad_limit_via_flower, verify_flower
 from sigma2lab.languages import accepts, compile_pattern
 from sigma2lab.monoids import (
     classify,
+    neutral_letters,
     recognize,
     subword_relation,
     up_word_accepts,
@@ -87,11 +88,11 @@ def test_criterion_1():
     d = compile_pattern(K_PATTERN, ABC)
     rec = recognize(d)
     report = classify(d, description=K_PATTERN)
-    assert not report.sigma2.holds
-    w = report.sigma2.witness
+    w = report.sigma2
+    assert w is not None
     replay = replay_equation_witness(rec, w)
     assert replay["passed"], replay
-    assert report.neutral == ("c",)
+    assert neutral_letters(rec) == {"c"}
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -101,8 +102,8 @@ def test_criterion_2():
     d = compile_pattern(K_PATTERN + "bc*b(a+b+c)*", ABC)
     rec = recognize(d)
     report = classify(d, description="K'")
-    assert not report.sigma2.holds
-    assert not report.pi2.holds
+    assert report.sigma2 is not None
+    assert report.pi2 is not None
     sw = subword_relation(rec.morphism)
     direct = confirm_failing_pair(rec, sw, ("a", "b", "a", "b"), ("b", "a"))
     assert direct["valid_failing_pair"], direct
@@ -138,6 +139,14 @@ def test_criterion_3():
     assert equivalent(d, u), "the union describes the complement, not the language"
 
 
+def test_criterion_3_nested_language_fails_both_equations():
+    # criterion 3's first claim on its own: test_criterion_3 stays as
+    # written, and its .holds read fails before it reaches the identity
+    report = classify(compile_pattern("(a" + K_PATTERN + "b+c)*", ABC), description="nested")
+    assert report.sigma2 is not None
+    assert report.pi2 is not None
+
+
 def test_criterion_3_diagnostic_union_is_the_complement():
     d = compile_pattern("(a" + K_PATTERN + "b+c)*", ABC)
     u = compile_pattern(UNION_OF_FOUR, ABC)
@@ -150,8 +159,8 @@ def test_criterion_3_diagnostic_union_is_the_complement():
 @criterion(4, "positive controls classify yes; subword relation vs oracle")
 def test_criterion_4():
     marked = compile_pattern("(a+b)*a(a+b)*", AB)
-    assert classify(marked, description="marked").sigma2.holds
-    assert classify(compile_pattern("(a+b)*", AB), description="full").sigma2.holds
+    assert classify(marked, description="marked").sigma2 is None
+    assert classify(compile_pattern("(a+b)*", AB), description="full").sigma2 is None
     rec = recognize(marked)
     sw = subword_relation(rec.morphism)
     ident = rec.monoid.identity
@@ -250,8 +259,8 @@ def test_criterion_9():
         if result.tangled:
             tangled_seen += 1
             enc = result.encoding
-            assert enc.family_size <= enc.bound == 9
-            assert len(set(enc.codes.values())) == enc.family_size
+            assert len(enc.codes) <= enc.bound == 9
+            assert len(set(enc.codes.values())) == len(enc.codes)
             for code in enc.codes.values():
                 assert len(code.free_positions) * 2 <= 3  # |K| <= kr/(k+1)
         else:
@@ -274,8 +283,7 @@ def test_criterion_10():
         nu = rng.choice(members)
         i = rng.randint(1, 3)
         mu = nu[: i - 1] + (None,) + nu[i:]
-        report = check_packed_limit_conditions(mu, nu, index_family(members, 3), 1)
-        if not report.ok:
+        if check_packed_limit_conditions(mu, nu, index_family(members, 3), 1) is not None:
             continue
         holding += 1
         u = unpack(mu)
@@ -312,7 +320,7 @@ def test_criterion_10():
             starved = [m for m in members if m[i - 1] == nu[i - 1]]
             report = check_packed_limit_conditions(mu, nu, index_family(starved, 3), 1)
             expected = "P2"
-        assert not report.ok
+        assert report is not None
         assert report.failed == expected, (kind, report)
         rejected += 1
 

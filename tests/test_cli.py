@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from oracles import circuit_to_json
 from sigma2lab import blockwords, cli, monoids
 from sigma2lab.circuits import demo_accept_all
+from sigma2lab.entailment import DichotomyResult, EncodingReport, MemberCode
 from sigma2lab.cli import main
 from sigma2lab.errors import VerificationError
 
@@ -38,6 +39,7 @@ def test_analyze_block_language(runner):
     assert payload["description"] == K_PATTERN
     assert payload["alphabet"] == ["a", "b", "c"]
     assert payload["monoid"]["size"] == 6
+    assert payload["monoid"]["idempotents"] == 4
     assert payload["neutral_letters"] == ["c"]
     assert payload["sigma2_lt"]["holds"] is False
     assert payload["sigma2_lt"]["replay"]["passed"] is True
@@ -215,6 +217,25 @@ def test_tangled_diagonal_family(runner):
         "within_bound": True,
         "bound": 9,
         "passed": True,
+    }
+
+
+def test_tangled_verification_passes_only_on_distinct_codes(runner, monkeypatch):
+    code = MemberCode(free_positions=(1,), free_contents=(1,), digits=(0, 0))
+    shared = EncodingReport(bound=9, codes={(1, 1, 1): code, (2, 2, 2): code})
+    monkeypatch.setattr(
+        cli,
+        "dichotomy_suite",
+        lambda words, k: DichotomyResult(tangled=True, family_size=2, encoding=shared),
+    )
+    payload = invoke_json(
+        runner, ["lab", "tangled", "--n", "9", "--k", "1", "--family", "1,1,1;2,2,2"]
+    )
+    assert payload["verification"] == {
+        "distinct_codes": False,
+        "within_bound": True,
+        "bound": 9,
+        "passed": False,
     }
 
 

@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "01_classify_block_language": "45f6fe135d2b3adb37bd8a1792a22fad3fc51b615dd2e60da1ecfd0d82b3833d",
     "02_limits_and_flowers": "f933a36def5c85ba45a06c84a93e1a42135477469a0143747a6db35740749189",
     "03_tangled_or_limit": "1702a5e1a058ae4658457ab5ddb4e353aa41452bc0d6471870cec8980a2691a9",
-    "04_wiring_words_into_monoids": "e067ec0742776e79fd5db53c5bb6a3d5a543c8011058570a2438aab12be86e73",
+    "04_wiring_words_into_monoids": "611b14e0718f34296f01c9efe0aa2fa63bdacb496951725159765737b9afac7a",
     "05_circuit_adversary": "a19ffa680a0e297d180a606abdddb984630f4145dacc95aebbaa7ebdb2df393f",
 }
 

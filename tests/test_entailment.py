@@ -124,7 +124,6 @@ def test_find_entailment_none_on_good_family():
 
 def test_good4_not_tangled():
     report = is_tangled(GOOD4, 1)
-    assert not report.tangled
     assert report.witness == ((1, 1), 1)
     assert report.family_size == 4
     assert report.index.r == 2
@@ -132,7 +131,6 @@ def test_good4_not_tangled():
 
 def test_two_member_diagonal_tangled():
     report = is_tangled(["abab", "baba"], 1)
-    assert report.tangled
     assert report.witness is None
     assert set(report.certificates) == {((1, 1), 1), ((1, 1), 2), ((2, 2), 1), ((2, 2), 2)}
     phi = [(1, 1), (2, 2)]
@@ -146,12 +144,12 @@ def test_two_member_diagonal_tangled():
 def test_singleton_family_tangled():
     for k in (1, 2):
         report = is_tangled(["abbbabbba"], k)
-        assert report.tangled
+        assert report.witness is None
 
 
 def test_diagonal9_tangled():
     report = is_tangled(DIAG9, 1)
-    assert report.tangled
+    assert report.witness is None
     assert report.family_size == 3
 
 
@@ -165,7 +163,7 @@ def test_tangled_guards(monkeypatch):
         is_tangled([wide], 2)
     monkeypatch.setattr(entailment, "MAX_R", 6)
     report = is_tangled([wide], 2)
-    assert report.tangled
+    assert report.witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +193,37 @@ def test_limit_none_when_tangled():
     assert bad_limit_via_entailment(["abab", "baba"], 1) is None
 
 
+@pytest.mark.parametrize("run", [bad_limit_via_entailment, dichotomy_suite])
+def test_a_one_shot_family_gives_what_its_list_gives(run):
+    # the family is read once to pack it and again to probe the limit
+    assert run(iter(GOOD9), 1) == run(GOOD9, 1)
+
+
 # ---------------------------------------------------------------------------
 # packed-level limit conditions
 
 
 def test_conditions_hold_on_constructed_limit():
     phi, r = pack_family(GOOD9)
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family(phi, r), 1)
-    assert report.ok
+    assert check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family(phi, r), 1) is None
 
 
 def test_conditions_reject_two_empty_blocks():
     phi, r = pack_family(GOOD9)
     report = check_packed_limit_conditions((None, None, 1), (1, 1, 1), index_family(phi, r), 1)
-    assert not report.ok
+    assert report is not None
     assert report.failed == "P1"
 
 
 def test_conditions_reject_foreign_source():
     report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(2, 2, 2)], 3), 1)
-    assert not report.ok
+    assert report is not None
     assert report.failed == "P1"
 
 
 def test_conditions_reject_singleton_family():
     report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(1, 1, 1)], 3), 1)
-    assert not report.ok
+    assert report is not None
     assert report.failed == "P2"
     assert "contents [1] at position 1" in report.detail
     assert "on []" in report.detail
@@ -229,7 +232,7 @@ def test_conditions_reject_singleton_family():
 def test_conditions_reject_unemptied_difference():
     phi, r = pack_family(GOOD9)
     report = check_packed_limit_conditions((2, 1, 1), (1, 1, 1), index_family(phi, r), 1)
-    assert not report.ok
+    assert report is not None
     assert report.failed == "P1"
 
 
@@ -242,8 +245,7 @@ def test_conditions_imply_limit_on_random_triples():
         nu = rng.choice(members)
         i = rng.randint(1, r)
         mu = nu[: i - 1] + (None,) + nu[i:]
-        report = check_packed_limit_conditions(mu, nu, index_family(members, r), 1)
-        if report.ok:
+        if check_packed_limit_conditions(mu, nu, index_family(members, r), 1) is None:
             u = unpack(mu)
             fam = [unpack(m) for m in members]
             assert is_bad(u)
@@ -276,7 +278,7 @@ def test_encode_requires_tangled():
 
 def test_tangled_encoding_two_members():
     report = tangled_encoding(["abab", "baba"], 1)
-    assert report.family_size == 2
+    assert len(report.codes) == 2
     assert report.bound == counting_bound(2, 1)
     assert len(set(report.codes.values())) == 2
     for mu, code in report.codes.items():
@@ -316,11 +318,10 @@ def test_random_tangled_families_respect_bound():
     found = 0
     for _ in range(80):
         fam = sorted(rng.sample(GOOD9, rng.randint(1, 9)))
-        report = is_tangled(fam, 1)
-        if report.tangled:
+        if is_tangled(fam, 1).witness is None:
             found += 1
             enc = tangled_encoding(fam, 1)
-            assert enc.family_size <= enc.bound == 9
+            assert len(enc.codes) <= enc.bound == 9
     assert found >= 5
 
 
@@ -349,7 +350,7 @@ def test_dichotomy_random_sample():
         fam = sorted(rng.sample(GOOD9, rng.randint(1, 27)))
         result = dichotomy_suite(fam, 1)
         if result.tangled:
-            assert result.encoding.family_size <= result.encoding.bound
+            assert len(result.encoding.codes) <= result.encoding.bound
         else:
             assert is_bad(result.limit.word)
             assert brute_is_k_limit(result.limit.word, fam, 1)
