@@ -11,8 +11,8 @@ s <= t when every context accepting s accepts t. syntactic_order
 answers each query from the states ordered by inclusion of their
 residuals, s <= t iff r s <= r t for every state r (Pin, Syntactic
 semigroups, 1997). Residual inclusion is read off the co-states (the
-sets of states a word leads into F, Brzozowski 1962) that the minimality
-check enumerates: q's lies in r's iff every co-state holding q holds r.
+sets of states a word leads into F, Brzozowski 1962) enumerated after
+the closure: q's lies in r's iff every co-state holding q holds r.
 A Recognition is the minimal DFA, its morphism and a converse flag; the
 complement's bundle flips the accepting states and swaps s and t, and
 every other value is read from those three.
@@ -40,7 +40,7 @@ from .errors import (
     UnknownSymbolError,
     VerificationError,
 )
-from .languages import Dfa, Word, as_word, minimize
+from .languages import Dfa, Word, _hopcroft, as_word, minimize
 
 MONOID_SIZE_LIMIT = 4096
 _NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize first"
@@ -106,34 +106,24 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     identity, so indices are stable for a given DFA. Row s of the table
     is row suffix[s], the rest of its representative after the first
     letter, mapped through left multiplication by that letter (Froidure
-    & Pin 1997). Before the closure, the DFA's co-states order its states
-    by residual inclusion, and NotMinimalError (minimize first) refuses a
-    DFA with an unreached state or two equal residuals, ahead of
-    MonoidSizeError beyond max_size elements.
+    & Pin 1997). The co-states found after it order the states by
+    residual inclusion. Before it, NotMinimalError (minimize first)
+    refuses a DFA with an unreached state or two equal residuals, ahead
+    of MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
-    gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
-    reached = [d.initial]
-    for q in reached:
-        reached += {p for p in d.delta[q] if p not in reached}
-    # a co-state: the states some word leads into F, as a bitset
-    masks = [sum(1 << q for q in d.accepting)]
-    seen = set(masks)
-    for mask in masks:
-        befores = {sum(1 << r for r, p in enumerate(g) if mask >> p & 1) for g in gens}
-        for before in befores - seen:
-            seen.add(before)
-            masks.append(before)
-    up = [(1 << n) - 1] * n  # up[q]: the states r whose residual holds q's
-    for mask in masks:
-        for q in _members(mask):
-            up[q] &= mask
+    reached, frontier = {d.initial}, [d.initial]
+    for q in frontier:
+        frontier += set(d.delta[q]) - reached
+        reached.update(d.delta[q])
+    block_of = _hopcroft(n, len(d.alphabet), d.delta, d.accepting)
     # minimal: every state reached, and no two with the same residual
-    if len(reached) < n or len(set(up)) < n:
+    if len(reached) < n or len(set(block_of.values())) < n:
         raise NotMinimalError(_NOT_MINIMAL)
     too_many = f"transition monoid exceeds {max_size} elements"
     if max_size < 1:  # the identity counts
         raise MonoidSizeError(too_many)
+    gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
     index = {tuple(range(n)): 0}
     elements = list(index)
     words: list[Word] = [()]
@@ -151,6 +141,18 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
                 first.append(first[s] if s else a)
                 suffix.append(right[a][suffix[s]] if s else 0)
             right[a].append(t)
+    # a co-state, one per element at most: the states some word leads into F, as a bitset
+    masks = [sum(1 << q for q in d.accepting)]
+    seen = set(masks)
+    for mask in masks:
+        befores = {sum(1 << r for r, p in enumerate(g) if mask >> p & 1) for g in gens}
+        for before in befores - seen:
+            seen.add(before)
+            masks.append(before)
+    up = [(1 << n) - 1] * n  # up[q]: the states r whose residual holds q's
+    for mask in masks:
+        for q in _members(mask):
+            up[q] &= mask
     left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
     rows = [tuple(range(len(elements)))]  # row s: s t for every t
     for s in range(1, len(elements)):
@@ -206,9 +208,9 @@ def syntactic_order(morphism: Morphism, s: int, t: int) -> bool:
 
     q <= r when the residual of q (the language q accepts) is included in
     that of r: bit r of morphism.state_order[q], read off the co-states
-    transition_monoid enumerates for its minimality check. Since every
-    state is reachable, s <= t (every accepting context of s accepts t)
-    iff r s <= r t for every state r, and action[s][r] is r s.
+    transition_monoid enumerates after its closure. Since every state is
+    reachable, s <= t (every accepting context of s accepts t) iff
+    r s <= r t for every state r, and action[s][r] is r s.
     """
     up, action = morphism.state_order, morphism.action
     return all(up[p] >> q & 1 for p, q in zip(action[s], action[t]))

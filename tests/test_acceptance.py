@@ -140,11 +140,15 @@ def test_criterion_3():
 
 
 def test_criterion_3_nested_language_fails_both_equations():
-    # criterion 3's first claim on its own: test_criterion_3 stays as
-    # written, and its .holds read fails before it reaches the identity
+    # criterion 3's first claim and its time bound on their own:
+    # test_criterion_3 stays as written, and its .holds read fails before
+    # it reaches the time bound and the identity
+    t0 = time.perf_counter()
     report = classify(compile_pattern("(a" + K_PATTERN + "b+c)*", ABC), description="nested")
     assert report.sigma2 is not None
     assert report.pi2 is not None
+    compile_pattern(UNION_OF_FOUR, ABC)
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_3_diagnostic_union_is_the_complement():

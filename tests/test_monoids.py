@@ -6,6 +6,7 @@ and relations are compared against definitional brute force.
 """
 
 import random
+import time
 from dataclasses import fields
 
 import pytest
@@ -156,6 +157,15 @@ def test_transition_monoid_requires_minimal_dfa(d):
 def test_monoid_size_guard(k_dfa):
     with pytest.raises(MonoidSizeError):
         recognize(k_dfa, max_size=3)
+
+
+def test_monoid_size_guard_bounds_the_work_on_a_small_dfa():
+    # 23 states whose monoid and co-states far outgrow the default limit
+    d = compile_pattern("(a+b)" * 20 + "a(a+b)*", AB)
+    t0 = time.perf_counter()
+    with pytest.raises(MonoidSizeError):
+        recognize(d)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_monoid_size_guard_counts_the_identity():
