@@ -214,10 +214,6 @@ class TangledReport:
     def members(self) -> tuple[Packed, ...]:
         return self.index.members
 
-    @property
-    def family_size(self) -> int:
-        return len(self.members)
-
 
 def is_tangled(family, k: int) -> TangledReport:
     """Decide tangledness; the witness on failure is the lex-first (nu, i).
@@ -521,7 +517,7 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     """
     family = list(family)  # read twice: packed, then probed
     report = is_tangled(family, k)
-    size = report.family_size
+    size = len(report.members)
     if report.witness is None:
         return DichotomyResult(tangled=True, family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)

@@ -4,13 +4,15 @@ The transition monoid of a minimal DFA is computed by breadth-first
 closure over the generator transformations, so element 0 is always the
 identity and every element keeps its state transformation and a shortest
 representative word (ties broken lexicographically by the alphabet
-order). Its table and its J-classes are read off the Cayley graphs of
-that closure (Froidure & Pin, Algorithms for computing finite
-semigroups, 1997). The syntactic order is "more accepting is larger":
-s <= t when every context accepting s accepts t. syntactic_order
-answers each query from the states ordered by inclusion of their
-residuals, s <= t iff r s <= r t for every state r (Pin, Syntactic
-semigroups, 1997). Residual inclusion is read off the co-states (the
+order). The closure is the right Cayley graph, and no table of all
+products is built: s t walks the letters of t's representative from s
+along that graph, and the J-classes are read off both Cayley graphs
+(Froidure & Pin, Algorithms for computing finite semigroups, 1997).
+The syntactic order is "more accepting is larger": s <= t when every
+context accepting s accepts t. syntactic_order answers each query from
+the states ordered by inclusion of their residuals, s <= t iff
+r s <= r t for every state r (Pin, Syntactic semigroups, 1997).
+Residual inclusion is read off the co-states (the
 sets of states a word leads into F, Brzozowski 1962) enumerated after
 the closure: q's lies in r's iff every co-state holding q holds r.
 A Recognition is the minimal DFA, its morphism and a converse flag; the
@@ -52,26 +54,44 @@ _NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize f
 
 @dataclass(frozen=True)
 class FiniteMonoid:
-    """Multiplication table with a designated identity.
+    """The right Cayley graph of a monoid generated by letters.
 
-    table[i][j] is the product (element i) * (element j).
+    right[a][s] is s times letter a. Element 0 is the identity; any other
+    s is letter first[s] times element suffix[s], its representative
+    split after the first letter, so s t walks t's letters from s.
     """
 
-    size: int
-    identity: int
-    table: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+    first: tuple[int, ...]
+    suffix: tuple[int, ...]
+    identity = 0
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    @property
+    def size(self) -> int:
+        return len(self.first)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Every product s t, derived on each read for the benchmark's tracer only.
+
+        It leaves once the tracer counts from size and idempotents() (ROADMAP item 1).
+        """
+        return tuple(tuple(self.mul(s, t) for t in range(self.size)) for s in range(self.size))
+
+    def mul(self, s: int, t: int) -> int:
+        right, first, suffix = self.right, self.first, self.suffix
+        while t:
+            s, t = right[first[t]][s], suffix[t]
+        return s
 
     def product(self, elements: Iterable[int]) -> int:
         acc = self.identity
         for e in elements:
-            acc = self.table[acc][e]
+            acc = self.mul(acc, e)
         return acc
 
     def idempotents(self) -> list[int]:
-        return [e for e in range(self.size) if self.table[e][e] == e]
+        return [e for e in range(self.size) if self.mul(e, e) == e]
 
 
 @dataclass(frozen=True)
@@ -103,13 +123,13 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     """The evaluation morphism onto the transition monoid of a minimal DFA.
 
     Elements are state transformations discovered breadth-first from the
-    identity, so indices are stable for a given DFA. Row s of the table
-    is row suffix[s], the rest of its representative after the first
-    letter, mapped through left multiplication by that letter (Froidure
-    & Pin 1997). The co-states found after it order the states by
-    residual inclusion. Before it, NotMinimalError (minimize first)
-    refuses a DFA with an unreached state or two equal residuals, ahead
-    of MonoidSizeError beyond max_size elements.
+    identity, so indices are stable for a given DFA. The closure records
+    the right Cayley graph and splits each representative after its first
+    letter, all a product needs; the left graph serves the J-classes only
+    (Froidure & Pin 1997). The co-states found after the closure order the
+    states by residual inclusion. Before it, NotMinimalError (minimize
+    first) refuses a DFA with an unreached state or two equal residuals,
+    ahead of MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
     reached, frontier = {d.initial}, [d.initial]
@@ -154,16 +174,13 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
         for q in _members(mask):
             up[q] &= mask
     left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
-    rows = [tuple(range(len(elements)))]  # row s: s t for every t
-    for s in range(1, len(elements)):
-        rows.append(tuple(map(left[first[s]].__getitem__, rows[suffix[s]])))
     return Morphism(
         alphabet=d.alphabet,
-        monoid=FiniteMonoid(size=len(rows), identity=0, table=tuple(rows)),
+        monoid=FiniteMonoid(tuple(map(tuple, right)), tuple(first), tuple(suffix)),
         generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
         representative=tuple(words),
         action=tuple(elements),
-        j_class=_j_classes(len(rows), right + left),
+        j_class=_j_classes(len(elements), right + left),
         state_order=tuple(up),
     )
 
@@ -230,14 +247,6 @@ class Recognition:
     @property
     def monoid(self) -> FiniteMonoid:
         return self.morphism.monoid
-
-    @property
-    def accepting(self) -> frozenset[int]:
-        """The elements sending the initial state into F, an upper set."""
-        d = self.dfa
-        return frozenset(
-            e for e, image in enumerate(self.morphism.action) if image[d.initial] in d.accepting
-        )
 
     def leq(self, s: int, t: int) -> bool:
         if self.converse:
@@ -313,25 +322,26 @@ def subword_relation(morphism: Morphism) -> SubwordRelation:
     give, closes under the generators that keep it in place, and gives to
     the classes below; they inherit the images Y g and compute their own.
     """
-    table, j_class = morphism.monoid.table, morphism.j_class
-    gens = sorted(set(morphism.generator.values()))
-    # moves[c][i]: the classes of x gens[i] for x in class c
-    moves = [[set() for _ in gens] for _ in range(max(j_class) + 1)]
+    j_class = morphism.j_class
+    # the right Cayley graph's columns, one per generator g: x g is column[x]
+    columns = list(dict.fromkeys(morphism.monoid.right))
+    # moves[c][i]: the classes of x g_i for x in class c
+    moves = [[set() for _ in columns] for _ in range(max(j_class) + 1)]
     for x, c in enumerate(j_class):
-        for i, g in enumerate(gens):
-            moves[c][i].add(j_class[table[x][g]])
-    # found[c]: the companions class c has so far; images[c][i]: known[c] gens[i]
+        for i, column in enumerate(columns):
+            moves[c][i].add(j_class[column[x]])
+    # found[c]: the companions class c has so far; images[c][i]: known[c] g_i
     found = [1 << morphism.monoid.identity] + [0] * (len(moves) - 1)
     known = [0] * len(moves)
-    images: list = [[0] * len(gens) for _ in moves]
+    images: list = [[0] * len(columns) for _ in moves]
     for c, targets in enumerate(moves):
         stay = [i for i, to in enumerate(targets) if c in to]
         given, own = images[c], found[c]
         delta = own & ~known[c]
         while delta:  # close under the generators that keep the class in place
             for y in _members(delta):
-                for i, g in enumerate(gens):
-                    given[i] |= 1 << table[y][g]
+                for i, column in enumerate(columns):
+                    given[i] |= 1 << column[y]
             grown = 0
             for i in stay:
                 grown |= given[i]
@@ -361,7 +371,7 @@ def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness
 
 
 def _least_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
-    table, one = morphism.monoid.table, morphism.monoid.identity
+    right, one = morphism.monoid.right, morphism.monoid.identity
     level, claimed = {(one, one): ((), ())}, set()  # claimed: reached when shorter
     while pair not in level:
         if not level:
@@ -370,9 +380,9 @@ def _least_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
         grown = {}
         for (x, y), (w, ps) in level.items():
             marked = ps + (len(w) + 1,)
-            for sym, g in morphism.generator.items():
-                nw, xg = w + (sym,), table[x][g]
-                for reached, c in ((xg, y), (nw, ps)), ((xg, table[y][g]), (nw, marked)):
+            for sym, column in zip(morphism.alphabet, right):
+                nw, xg = w + (sym,), column[x]
+                for reached, c in ((xg, y), (nw, ps)), ((xg, column[y]), (nw, marked)):
                     if reached not in claimed and (reached not in grown or c < grown[reached]):
                         grown[reached] = c
         level = grown
@@ -413,31 +423,46 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
     and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
     with no separating context is wrong, and raises VerificationError.
     """
-    monoid, acc = rec.monoid, rec.accepting
-    table, j_class = monoid.table, rec.morphism.j_class
+    monoid, j_class = rec.monoid, rec.morphism.j_class
     passed = set()  # J-classes whose first idempotent passed
     for x in monoid.idempotents():
         if j_class[x] in passed:
             continue
         for y in sw.subwords_of(x):
-            xyx = table[table[x][y]][x]
+            xyx = monoid.mul(monoid.mul(x, y), x)
             if rec.leq(x, xyx):
                 continue
-            separating = (
-                (p, q)
-                for p in range(monoid.size)
-                for q in range(monoid.size)
-                if table[table[p][x]][q] in acc and table[table[p][xyx]][q] not in acc
-            )
-            p, q = next(separating, (None, None))
-            if p is None:
+            context = _separating_context(rec, x, xyx)
+            if context is None:
                 raise VerificationError(
                     f"the order denies x <= xyx for x={x}, y={y}, "
                     "but no context separates x from xyx"
                 )
-            rep, pair = rec.morphism.representative, subword_witness(rec.morphism, (x, y))
+            (p, q), rep = context, rec.morphism.representative
+            pair = subword_witness(rec.morphism, (x, y))
             return EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
         passed.add(j_class[x])
+    return None
+
+
+def _separating_context(rec: Recognition, s: int, t: int) -> tuple[int, int] | None:
+    """The first (p, q), in index order, with p s q accepted and p t q not.
+
+    Read off the states, not the products: with r the initial state moved
+    by p, p is the first element where r s's residual is not included in
+    r t's (one bit of state_order, the two states swapped on the converse
+    side), and q the first element taking r s into F and r t out of it.
+    None when the states give no such context.
+    """
+    d, action, up = rec.dfa, rec.morphism.action, rec.morphism.state_order
+    for p, image in enumerate(action):
+        into, out = action[s][image[d.initial]], action[t][image[d.initial]]
+        lower, upper = (out, into) if rec.converse else (into, out)
+        if not up[lower] >> upper & 1:
+            for q, e in enumerate(action):
+                if e[into] in d.accepting and e[out] not in d.accepting:
+                    return p, q
+            return None
     return None
 
 

@@ -10,17 +10,20 @@ bitset indexes replaced.
 Patterns are also parsed into regex trees by recursive descent, and
 to_pattern writes a tree back as pattern text, so trees drawn by the
 tests reach the package through its one entry, compile_pattern.
-The transition monoid's table is also built by composing state maps
-cell by cell, its J-classes are the elements with equal two-sided
-ideals, and the residual inclusion of its states is the greatest
-simulation, which needs no co-states. The subword relation is also
-found by the breadth-first search that keeps a witness for every pair,
-and by a worklist over elements that knows no J-classes; the sigma2
-check also scans every idempotent, and sigma2 is also decided by the
-content form of its identity, which needs no subword relation.
+Every product of the transition monoid is also composed from two
+state maps and looked up (composition_table), so no oracle multiplies
+through the package's Cayley graph; its J-classes are the elements
+with equal two-sided ideals, and the residual inclusion of its states
+is the greatest simulation, which needs no co-states. The subword
+relation is also found by the breadth-first search that keeps a
+witness for every pair, and by a worklist over elements that knows no
+J-classes; the sigma2 check also scans every idempotent and every
+context, and sigma2 is also decided by the content form of its
+identity, which needs no subword relation.
 Some helpers live here because only tests use them:
-complement and equivalent build the complement and compare languages
-by minimal canonical forms, independently of Recognition.complemented;
+accepted_elements lists the elements a recognition accepts; complement
+and equivalent build the complement and compare languages by minimal
+canonical forms, independently of Recognition.complemented;
 confirm_failing_pair checks an externally supplied failing equation
 pair, circuit_to_json writes the payload circuit_from_json reads, and
 delete_x_letters blanks the x slots of a wired monoid word. The wired
@@ -336,8 +339,9 @@ def moore_state_count(d) -> int:
 def bfs_transition_monoid(d, max_size):
     """The morphism onto the transition monoid, every product composed and hashed.
 
-    The same breadth-first closure as the package, but each of the M^2
-    table cells composes two state maps and looks the result up.
+    The same breadth-first closure as the package, but the right Cayley
+    graph and each element's first-letter split are read off the M^2
+    cells of composition_table, not recorded as the closure runs.
     Minimality is checked by Moore refinement first, so NotMinimalError
     wins over MonoidSizeError.
     """
@@ -362,18 +366,43 @@ def bfs_transition_monoid(d, max_size):
                 index[composed] = len(elements)
                 elements.append(composed)
                 words.append(words[i] + (sym,))
-    table = tuple(
-        tuple(index[tuple(t[q] for q in s)] for t in elements) for s in elements
+    table = composition_table(elements)
+    generator = {sym: index[gens[sym]] for sym in d.alphabet}
+    suffix = [0] * len(elements)  # the element of a representative without its first letter
+    for e, word in enumerate(words):
+        for sym in word[1:]:
+            suffix[e] = table[suffix[e]][generator[sym]]
+    monoid = FiniteMonoid(
+        right=tuple(tuple(row[generator[sym]] for row in table) for sym in d.alphabet),
+        first=tuple(d.alphabet.index(word[0]) if word else -1 for word in words),
+        suffix=tuple(suffix),
     )
-    monoid = FiniteMonoid(size=len(elements), identity=0, table=table)
     return Morphism(
         alphabet=d.alphabet,
         monoid=monoid,
-        generator={sym: index[gens[sym]] for sym in d.alphabet},
+        generator=generator,
         representative=tuple(words),
         action=tuple(elements),
-        j_class=j_classes_by_ideals(monoid),
+        j_class=j_classes_by_ideals(table),
         state_order=residual_inclusion(d),
+    )
+
+
+def composition_table(action) -> tuple[tuple[int, ...], ...]:
+    """table[s][t]: the element s t, composed from the state maps and looked up.
+
+    action[e][q] is the state e sends q to, so s t sends q to
+    action[t][action[s][q]]; each cell finds its element by that map.
+    """
+    index = {image: e for e, image in enumerate(action)}
+    return tuple(tuple(index[tuple(t[q] for q in s)] for t in action) for s in action)
+
+
+def accepted_elements(rec) -> frozenset[int]:
+    """The elements sending the initial state into F, an upper set."""
+    d = rec.dfa
+    return frozenset(
+        e for e, image in enumerate(rec.morphism.action) if image[d.initial] in d.accepting
     )
 
 
@@ -401,23 +430,23 @@ def residual_inclusion(d) -> tuple[int, ...]:
         related -= broken
 
 
-def two_sided_ideals(monoid) -> list[frozenset]:
+def two_sided_ideals(table) -> list[frozenset]:
     """M s M for every element s, every product u s v formed. Cubic."""
-    table, size = monoid.table, monoid.size
+    size = len(table)
     return [
         frozenset(table[table[u][s]][v] for u in range(size) for v in range(size))
         for s in range(size)
     ]
 
 
-def j_classes_by_ideals(monoid) -> tuple[int, ...]:
+def j_classes_by_ideals(table) -> tuple[int, ...]:
     """J-classes as equal two-sided ideals, numbered by decreasing ideal size.
 
     A class strictly above another has the larger ideal, so the numbering
     puts every class before the classes below it; ties go to the class
     with the smaller least element.
     """
-    ideals = two_sided_ideals(monoid)
+    ideals = two_sided_ideals(table)
     classes = sorted(
         {ideal: s for s, ideal in reversed(list(enumerate(ideals)))}.items(),
         key=lambda item: (-len(item[0]), item[1]),
@@ -455,7 +484,7 @@ def bfs_subword_relation(morphism):
     by (word, positions) and the first to reach a pair claims it. Returns
     the set of pairs and a dict from pair to (word, positions).
     """
-    table = morphism.monoid.table
+    table = composition_table(morphism.action)
     ident = morphism.monoid.identity
     start = (ident, ident)
     witness = {start: ((), ())}
@@ -485,7 +514,7 @@ def worklist_subword_relation(morphism) -> SubwordRelation:
     generator pairs, one bitset of companions per x; only the bits new
     to x since it was last processed are pushed on.
     """
-    table = morphism.monoid.table
+    table = composition_table(morphism.action)
     gens = set(morphism.generator.values())
     one = morphism.monoid.identity
     companions = [0] * morphism.monoid.size
@@ -514,10 +543,10 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
     with the first separating context and the package's pair witness,
     and None means the equation holds.
     """
-    monoid, table, acc = rec.monoid, rec.monoid.table, rec.accepting
-    rep = rec.morphism.representative
-    for x in monoid.idempotents():
-        for y in range(monoid.size):
+    table, acc = composition_table(rec.morphism.action), accepted_elements(rec)
+    rep, size = rec.morphism.representative, len(table)
+    for x in (e for e in range(size) if table[e][e] == e):
+        for y in range(size):
             if not sw.companions[x] >> y & 1:
                 continue
             xyx = table[table[x][y]][x]
@@ -525,8 +554,8 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
                 continue
             p, q = next(
                 (p, q)
-                for p in range(monoid.size)
-                for q in range(monoid.size)
+                for p in range(size)
+                for q in range(size)
                 if table[table[p][x]][q] in acc and table[table[p][xyx]][q] not in acc
             )
             return EquationWitness(
@@ -542,9 +571,9 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
     return None
 
 
-def monoid_law_failure(monoid):
-    """The first monoid law the table breaks, or None. Cubic."""
-    e, size, table = monoid.identity, monoid.size, monoid.table
+def monoid_law_failure(table, e):
+    """The first monoid law the table breaks, with e as identity, or None. Cubic."""
+    size = len(table)
     if any(table[e][i] != i or table[i][e] != i for i in range(size)):
         return "identity law fails"
     for i, j, k in product(range(size), repeat=3):
@@ -555,36 +584,37 @@ def monoid_law_failure(monoid):
 
 def order_law_failure(rec):
     """The first partial-order or compatibility law rec's order breaks, or None."""
-    m, leq = rec.monoid, rec.leq
-    for s in range(m.size):
+    table, leq = composition_table(rec.morphism.action), rec.leq
+    size = len(table)
+    for s in range(size):
         if not leq(s, s):
             return "order not reflexive"
-        for t in range(m.size):
+        for t in range(size):
             if not leq(s, t):
                 continue
             if s != t and leq(t, s):
                 return "order not antisymmetric"
-            if any(leq(t, u) and not leq(s, u) for u in range(m.size)):
+            if any(leq(t, u) and not leq(s, u) for u in range(size)):
                 return "order not transitive"
-            for u in range(m.size):
-                if not leq(m.mul(s, u), m.mul(t, u)):
+            for u in range(size):
+                if not leq(table[s][u], table[t][u]):
                     return "order not right compatible"
-                if not leq(m.mul(u, s), m.mul(u, t)):
+                if not leq(table[u][s], table[u][t]):
                     return "order not left compatible"
     return None
 
 
-def definitional_order(monoid, accepting) -> set:
+def definitional_order(table, accepted) -> set:
     """s <= t iff every accepting context of s also accepts t.
 
     The contexts (p, q) with p s q accepting are one bitset per s, one
     bit per context, so s <= t is one inclusion test.
     """
-    m, table = monoid.size, monoid.table
+    m = len(table)
     contexts = [
         int(
             "".join(
-                "1" if table[table[p][s]][q] in accepting else "0"
+                "1" if table[table[p][s]][q] in accepted else "0"
                 for p in range(m)
                 for q in range(m)
             ),
@@ -909,7 +939,7 @@ def confirm_failing_pair(rec, sw, x_word, y_word) -> dict:
     h = rec.morphism
     x = h.eval(x_word)
     y = h.eval(y_word)
-    table = rec.monoid.table
+    table = composition_table(h.action)
     xyx = table[table[x][y]][x]
     idempotent = table[x][x] == x
     in_relation = bool(sw.companions[x] >> y & 1)

@@ -7,15 +7,18 @@ and relations are compared against definitional brute force.
 
 import random
 import time
+import tracemalloc
 from dataclasses import fields
 
 import pytest
 
 from oracles import (
+    accepted_elements,
     bfs_subword_relation,
     bfs_transition_monoid,
     brute_subword_pairs,
     complement,
+    composition_table,
     confirm_failing_pair,
     content_sigma2,
     definitional_neutral,
@@ -38,7 +41,6 @@ from sigma2lab.errors import (
 )
 from sigma2lab.languages import Dfa, accepts, compile_pattern, minimize
 from sigma2lab.monoids import (
-    FiniteMonoid,
     SubwordRelation,
     check_sigma2,
     classify,
@@ -107,7 +109,7 @@ def _random_minimal_recognitions(seed, count, max_states, max_size):
 def test_full_language_monoid_is_trivial():
     rec = _rec("(a+b)*", AB)
     assert rec.monoid.size == 1
-    assert rec.accepting == frozenset({0})
+    assert accepted_elements(rec) == frozenset({0})
 
 
 def test_even_length_a_monoid():
@@ -133,7 +135,7 @@ def test_block_language_monoid_frozen(k_rec):
     m, h = k_rec.monoid, k_rec.morphism
     assert m.size == 6
     assert h.representative == ((), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"))
-    assert k_rec.accepting == frozenset({0, 4})
+    assert accepted_elements(k_rec) == frozenset({0, 4})
     assert sorted(m.idempotents()) == [0, 3, 4, 5]
     assert h.image("c") == m.identity
     # aa is a zero: no continuation ever accepts
@@ -142,7 +144,9 @@ def test_block_language_monoid_frozen(k_rec):
 
 
 def test_monoid_laws_validate(k_rec):
-    assert monoid_law_failure(k_rec.monoid) is None
+    m = k_rec.monoid
+    products = [[m.mul(s, t) for t in range(m.size)] for s in range(m.size)]
+    assert monoid_law_failure(products, m.identity) is None
     assert order_law_failure(k_rec) is None
 
 
@@ -166,6 +170,21 @@ def test_monoid_size_guard_bounds_the_work_on_a_small_dfa():
     with pytest.raises(MonoidSizeError):
         recognize(d)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_large_monoid_is_classified_in_little_memory():
+    # the reversal: 13 states and M=4095, so a table of all M^2 products
+    # would hold 16.8 million entries, well over 100 MB
+    d = compile_pattern("(a+b)" * 10 + "a(a+b)*", AB)
+    tracemalloc.start()
+    try:
+        rec = recognize(d)
+        class_report_to_dict(rec, classify_recognition(rec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.monoid.size == 4095
+    assert peak < 16 * 2**20
 
 
 def test_monoid_size_guard_counts_the_identity():
@@ -193,9 +212,8 @@ def _monoid_or_error(build, d, max_size):
     except (MonoidSizeError, NotMinimalError) as err:
         return type(err)
     return {
-        "size": h.monoid.size,
-        "table": h.monoid.table,
-        "identity": h.monoid.identity,
+        "monoid": h.monoid,
+        "table": composition_table(h.action),
         "generator": h.generator,
         "representative": h.representative,
         "action": h.action,
@@ -205,7 +223,8 @@ def _monoid_or_error(build, d, max_size):
 
 def test_table_matches_composition_oracle():
     # the ladder, then seeded random DFAs as drawn (often not minimal, with
-    # any initial state) and minimized; both refuse monoids above 120
+    # any initial state) and minimized; both refuse monoids above 120, and
+    # every product the Cayley graph gives is the composed state maps' one
     dfas = [
         compile_pattern("(ac*b+c)*", ABC),
         compile_pattern("(a(ac*b+c)*b+c)*", ABC),
@@ -226,7 +245,9 @@ def test_table_matches_composition_oracle():
         assert got == _monoid_or_error(bfs_transition_monoid, d, 120), d
         kinds.add(got if isinstance(got, type) else "monoid")
         if isinstance(got, dict):
-            size = len(got["table"])
+            m, table = got["monoid"], got["table"]
+            assert all(m.mul(s, t) == table[s][t] for s in range(m.size) for t in range(m.size))
+            size = m.size
             for build in (transition_monoid, bfs_transition_monoid):
                 assert _monoid_or_error(build, d, size) == got
                 assert _monoid_or_error(build, d, size - 1) is MonoidSizeError
@@ -255,7 +276,7 @@ def test_order_matches_definitional_oracle(pattern, alphabet):
     rec = _rec(pattern, alphabet)
     # the complement's order is the language's order reversed
     for side in (rec, rec.complemented()):
-        brute = definitional_order(side.monoid, side.accepting)
+        brute = definitional_order(composition_table(side.morphism.action), accepted_elements(side))
         computed = {
             (s, t)
             for s in range(side.monoid.size)
@@ -266,11 +287,11 @@ def test_order_matches_definitional_oracle(pattern, alphabet):
 
 
 def test_order_upper_set(k_rec):
-    m = k_rec.monoid
-    for s in k_rec.accepting:
+    m, accepted = k_rec.monoid, accepted_elements(k_rec)
+    for s in accepted:
         for t in range(m.size):
             if k_rec.leq(s, t):
-                assert t in k_rec.accepting
+                assert t in accepted
 
 
 def test_contains_a_order():
@@ -293,7 +314,7 @@ def test_block_language_order_refuses_xyx(k_rec):
 def test_random_orders_match_definitional_oracle():
     for _, rec in _random_minimal_recognitions(3, 40, 4, 20):
         for side in (rec, rec.complemented()):
-            brute = definitional_order(side.monoid, side.accepting)
+            brute = definitional_order(composition_table(side.morphism.action), accepted_elements(side))
             m = side.monoid.size
             computed = {
                 (s, t) for s in range(m) for t in range(m) if side.leq(s, t)
@@ -302,10 +323,10 @@ def test_random_orders_match_definitional_oracle():
 
 
 def test_recognition_membership_sampled(k_rec):
-    rng = random.Random(4)
+    rng, accepted = random.Random(4), accepted_elements(k_rec)
     for _ in range(1000):
         w = "".join(rng.choice(ABC) for _ in range(rng.randint(0, 8)))
-        assert (k_rec.morphism.eval(w) in k_rec.accepting) == accepts(k_rec.dfa, w)
+        assert (k_rec.morphism.eval(w) in accepted) == accepts(k_rec.dfa, w)
 
 
 def test_complemented_recognition(k_rec):
@@ -313,14 +334,15 @@ def test_complemented_recognition(k_rec):
     assert co.dfa == complement(k_rec.dfa)
     assert co.monoid is k_rec.monoid
     assert co.morphism is k_rec.morphism
-    assert co.accepting == frozenset(range(6)) - k_rec.accepting
+    accepted, co_accepted = accepted_elements(k_rec), accepted_elements(co)
+    assert co_accepted == frozenset(range(6)) - accepted
     for w in ["", "ab", "ba", "acb", "abc"]:
-        assert (co.morphism.eval(w) in co.accepting) == (k_rec.morphism.eval(w) not in k_rec.accepting)
+        assert (co.morphism.eval(w) in co_accepted) == (k_rec.morphism.eval(w) not in accepted)
     # the flipped order still leaves the flipped accepting set upward closed
-    for s in co.accepting:
+    for s in co_accepted:
         for t in range(6):
             if co.leq(s, t):
-                assert t in co.accepting
+                assert t in co_accepted
     # complementing twice gives back the language's order
     assert co.complemented() == k_rec
 
@@ -491,7 +513,7 @@ def test_j_classes_are_the_equal_ideals_numbered_top_down():
     for rec in recs + _minimized_random_recognitions(21, 150, 80):
         m = rec.monoid
         j_class = rec.morphism.j_class
-        ideals = two_sided_ideals(m)
+        ideals = two_sided_ideals(composition_table(rec.morphism.action))
         assert j_class[m.identity] == 0
         for s in range(m.size):
             for t in ideals[s]:
@@ -716,11 +738,6 @@ def test_up_word_contains_a_examples():
 
 
 def test_monoid_json_rejects_broken_table(k_rec):
-    table = [list(row) for row in k_rec.monoid.table]
-    table[0][0] = 5  # identity law now fails
-    broken = FiniteMonoid(
-        size=k_rec.monoid.size,
-        identity=k_rec.monoid.identity,
-        table=tuple(tuple(row) for row in table),
-    )
-    assert monoid_law_failure(broken) == "identity law fails"
+    broken = [list(row) for row in composition_table(k_rec.morphism.action)]
+    broken[0][0] = 5  # identity law now fails
+    assert monoid_law_failure(broken, k_rec.monoid.identity) == "identity law fails"

@@ -4,7 +4,9 @@ perfbench/tracing.py wraps each boundary in COUNTERS and reads its
 arguments and return value (rec.dfa.n_states, rec.monoid.table,
 sw.pairs, pack_family's members, report.certificates, res.status and
 so on). A change that drops one of those fields breaks the traced
-benchmark run; here it breaks the test suite first.
+benchmark run; here it breaks the test suite first. The monoid builds
+no table of products any more: table is derived from the right Cayley
+graph on each read, and only for the tracer.
 """
 
 import sys
