@@ -42,6 +42,7 @@ from .blockwords import (
     check_block_word,
     is_bad,
     is_k_limit,
+    pack,
     unpack,
 )
 from .errors import (
@@ -249,8 +250,7 @@ def is_tangled(family, k: int) -> TangledReport:
 
 @dataclass(frozen=True)
 class EntailmentLimit:
-    word: str
-    packed: Packed  # source member with one block emptied
+    word: str  # the source member with block emptied
     source: Packed
     block: int
 
@@ -275,7 +275,7 @@ def _limit(report: TangledReport, family) -> EntailmentLimit:
         raise VerificationError("emptying one block of a good word must yield a bad word")
     if not is_k_limit(u, family, report.k):
         raise VerificationError("entailment failure did not produce a k-limit")
-    return EntailmentLimit(word=u, packed=mu, source=nu, block=i)
+    return EntailmentLimit(word=u, source=nu, block=i)
 
 
 @dataclass(frozen=True)
@@ -521,7 +521,7 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     if report.witness is None:
         return DichotomyResult(tangled=True, family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)
-    failure = check_packed_limit_conditions(limit.packed, limit.source, report.index, k)
+    failure = check_packed_limit_conditions(pack(limit.word), limit.source, report.index, k)
     if failure is not None:
         raise VerificationError(
             f"limit conditions failed on a constructed limit: {failure.detail}"

@@ -6,8 +6,9 @@ identity and every element keeps its state transformation and a shortest
 representative word (ties broken lexicographically by the alphabet
 order). The closure is the right Cayley graph, and no table of all
 products is built: s t walks the letters of t's representative from s
-along that graph, and the J-classes are read off both Cayley graphs
-(Froidure & Pin, Algorithms for computing finite semigroups, 1997).
+along that graph. The left Cayley graph is read off the right one with
+no composition, and the J-classes off both (Froidure & Pin, Algorithms
+for computing finite semigroups, 1997).
 The syntactic order is "more accepting is larger": s <= t when every
 context accepting s accepts t. syntactic_order answers each query from
 the states ordered by inclusion of their residuals, s <= t iff
@@ -25,6 +26,7 @@ every idempotent x and every y that the monoid-level subword relation
 pairs with x; pi2 is the check on the complement, delta2 both. A
 J-class shares one bitset of companions (the x paired with a y form an
 ideal), and its idempotents are conjugate, so both run once per class.
+x <= x y x is asked only at the states in the image of x, which x fixes.
 A failing pair's shortest witness is searched for once per morphism;
 a check returns the witness of its first failure, or None when it holds.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import count
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -64,6 +67,7 @@ class FiniteMonoid:
     right: tuple[tuple[int, ...], ...]
     first: tuple[int, ...]
     suffix: tuple[int, ...]
+    _idempotents: list = field(default_factory=list, compare=False, hash=False, repr=False)
     identity = 0
 
     @property
@@ -91,7 +95,10 @@ class FiniteMonoid:
         return acc
 
     def idempotents(self) -> list[int]:
-        return [e for e in range(self.size) if self.mul(e, e) == e]
+        """The e with e e = e, ascending, found on the first call only."""
+        if not self._idempotents:  # the identity is one, so empty means not yet
+            self._idempotents.extend(e for e in range(self.size) if self.mul(e, e) == e)
+        return self._idempotents
 
 
 @dataclass(frozen=True)
@@ -123,13 +130,16 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     """The evaluation morphism onto the transition monoid of a minimal DFA.
 
     Elements are state transformations discovered breadth-first from the
-    identity, so indices are stable for a given DFA. The closure records
-    the right Cayley graph and splits each representative after its first
-    letter, all a product needs; the left graph serves the J-classes only
-    (Froidure & Pin 1997). The co-states found after the closure order the
-    states by residual inclusion. Before it, NotMinimalError (minimize
-    first) refuses a DFA with an unreached state or two equal residuals,
-    ahead of MonoidSizeError beyond max_size elements.
+    identity, so indices are stable for a given DFA; each new s a is
+    composed once, by an itemgetter over s's map. The closure records the
+    right Cayley graph and splits each representative after its first
+    letter, all a product needs, and after its last letter, from which the
+    left graph follows: g s = (g prefix) last, the prefix found earlier
+    (Froidure & Pin 1997). The left graph serves the J-classes only. The
+    co-states found after the closure order the states by residual
+    inclusion. Before it, NotMinimalError (minimize first) refuses a DFA
+    with an unreached state or two equal residuals, ahead of
+    MonoidSizeError beyond max_size elements.
     """
     n = d.n_states
     reached, frontier = {d.initial}, [d.initial]
@@ -149,9 +159,13 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     words: list[Word] = [()]
     right: list[list[int]] = [[] for _ in gens]  # right[a][s]: s a
     first, suffix = [-1], [0]  # s = (letter first[s]) (element suffix[s])
+    prefix, last = [0], [-1]  # s = (element prefix[s]) (letter last[s])
     for s, image in enumerate(elements):
+        # g after s, composed in C; on one state every map is (0,), and
+        # itemgetter would return a scalar
+        compose = itemgetter(*image) if n > 1 else tuple
         for a, g in enumerate(gens):
-            composed = tuple(map(g.__getitem__, image))
+            composed = compose(g)
             t = index.setdefault(composed, len(elements))
             if t == len(elements):
                 if t >= max_size:
@@ -160,6 +174,8 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
                 words.append(words[s] + (d.alphabet[a],))
                 first.append(first[s] if s else a)
                 suffix.append(right[a][suffix[s]] if s else 0)
+                prefix.append(s)
+                last.append(a)
             right[a].append(t)
     # a co-state, one per element at most: the states some word leads into F, as a bitset
     masks = [sum(1 << q for q in d.accepting)]
@@ -173,7 +189,11 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     for mask in masks:
         for q in _members(mask):
             up[q] &= mask
-    left = [[index[tuple(map(e.__getitem__, g))] for e in elements] for g in gens]
+    # g s from the right graph, prefixes first: g s = (g prefix[s]) last[s]
+    left = [[column[0]] for column in right]
+    for row in left:
+        for p, b in zip(prefix[1:], last[1:]):
+            row.append(right[b][row[p]])
     return Morphism(
         alphabet=d.alphabet,
         monoid=FiniteMonoid(tuple(map(tuple, right)), tuple(first), tuple(suffix)),
@@ -417,20 +437,22 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
 
     None when it holds for every such pair. Idempotents and companions are
     scanned in index order, and the first failure comes with the first
-    separating context, so witnesses are stable.
+    separating context, so witnesses are stable. Each x <= x y x is asked
+    at the states in the image of x only (_leq_on_image), rank(x) of them.
     An idempotent whose J-class passed is skipped: two idempotents of one
     class are conjugate, e = a b and f = b a, with the same companions,
     and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
     with no separating context is wrong, and raises VerificationError.
     """
-    monoid, j_class = rec.monoid, rec.morphism.j_class
+    monoid, j_class, action = rec.monoid, rec.morphism.j_class, rec.morphism.action
     passed = set()  # J-classes whose first idempotent passed
     for x in monoid.idempotents():
         if j_class[x] in passed:
             continue
+        fixed = set(action[x])  # the image of x, each of its states fixed by x
         for y in sw.subwords_of(x):
             xyx = monoid.mul(monoid.mul(x, y), x)
-            if rec.leq(x, xyx):
+            if _leq_on_image(rec, fixed, xyx):
                 continue
             context = _separating_context(rec, x, xyx)
             if context is None:
@@ -443,6 +465,19 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
             return EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
         passed.add(j_class[x])
     return None
+
+
+def _leq_on_image(rec: Recognition, fixed: set[int], t: int) -> bool:
+    """Is x <= t, for an idempotent x whose image is fixed and t in x M?
+
+    Each r x is a state q of the image, and r t = r x t = q t, while
+    q x = q; so x <= t iff q <= q t for every q in the image, rec.leq
+    asked at rank(x) states instead of all of them.
+    """
+    up, moved = rec.morphism.state_order, rec.morphism.action[t]
+    if rec.converse:
+        return all(up[moved[q]] >> q & 1 for q in fixed)
+    return all(up[q] >> moved[q] & 1 for q in fixed)
 
 
 def _separating_context(rec: Recognition, s: int, t: int) -> tuple[int, int] | None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -626,9 +627,16 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
 
 
 def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):
-    # no element lies below any other, not even itself, so x <= xyx is
-    # denied for x = y = 1, where no context can separate
-    monkeypatch.setattr(monoids, "syntactic_order", lambda morphism, s, t: False)
+    # no state lies below any other, not even itself, so no element does
+    # either and x <= xyx is denied for x = y = 1, where no context can
+    # separate; the fault sits in the data both order queries read
+    build = monoids.transition_monoid
+
+    def unordered(d, max_size=monoids.MONOID_SIZE_LIMIT):
+        h = build(d, max_size)
+        return replace(h, state_order=(0,) * len(h.state_order))
+
+    monkeypatch.setattr(monoids, "transition_monoid", unordered)
     result = runner.invoke(main, ["analyze", K_PATTERN, "--alphabet", "abc"])
     assert result.exit_code == 4, result.output
     assert result.stdout == ""

@@ -175,7 +175,7 @@ def test_limit_over_all_good9():
     assert lim.word == "bbbabbabb"
     assert lim.source == (1, 1, 1)
     assert lim.block == 1
-    assert lim.packed == (None, 1, 1)
+    assert pack(lim.word) == (None, 1, 1)
     assert is_bad(lim.word)
     assert brute_is_k_limit(lim.word, GOOD9, 1)
 

@@ -187,6 +187,17 @@ def test_large_monoid_is_classified_in_little_memory():
     assert peak < 16 * 2**20
 
 
+def test_ladder_k10_is_classified_in_little_time():
+    # n=2048 states and M=4095: the closure composes 8190 state maps, and
+    # each order query of the equation check reads only the image of x
+    d = compile_pattern("(a+b)*a" + "(a+b)" * 10, AB)
+    t0 = time.perf_counter()
+    rec = recognize(d)
+    classify_recognition(rec)
+    assert time.perf_counter() - t0 < 3.0
+    assert (rec.dfa.n_states, rec.monoid.size) == (2048, 4095)
+
+
 def test_monoid_size_guard_counts_the_identity():
     trivial = compile_pattern("(a+b)*", AB)
     assert transition_monoid(trivial, max_size=1).monoid.size == 1
@@ -222,10 +233,14 @@ def _monoid_or_error(build, d, max_size):
 
 
 def test_table_matches_composition_oracle():
-    # the ladder, then seeded random DFAs as drawn (often not minimal, with
+    # the one-state DFAs of the empty and the full language, where every
+    # map is (0,) and itemgetter over one index would give a scalar; the
+    # ladder, then seeded random DFAs as drawn (often not minimal, with
     # any initial state) and minimized; both refuse monoids above 120, and
     # every product the Cayley graph gives is the composed state maps' one
     dfas = [
+        Dfa(AB, 1, 0, frozenset(), ((0, 0),)),
+        compile_pattern("(a+b)*", AB),
         compile_pattern("(ac*b+c)*", ABC),
         compile_pattern("(a(ac*b+c)*b+c)*", ABC),
         compile_pattern("(a+b)*a(a+b)(a+b)(a+b)", AB),
@@ -541,6 +556,25 @@ def test_class_level_relation_and_check_match_the_element_scans():
             shared[witness is None] += two_in_one
     # the check skips an idempotent on both kinds of verdict
     assert shared[True] >= 10 and shared[False] >= 10
+
+
+def test_the_order_on_the_image_of_an_idempotent_matches_the_definitional_query():
+    # x <= x y x read at the states x fixes, against rec.leq at every state,
+    # for every idempotent x and every element y, companion or not
+    ladder = [_rec("(a+b)*a" + "(a+b)" * k, AB) for k in range(3, 7)]
+    randoms = [rec for _, rec in _random_minimal_recognitions(6, 40, 5, 100)]
+    verdicts = set()
+    for rec in ladder + randoms:
+        m, action = rec.monoid, rec.morphism.action
+        for side in (rec, rec.complemented()):
+            for x in m.idempotents():
+                fixed = set(action[x])
+                for y in range(m.size):
+                    xyx = m.mul(m.mul(x, y), x)
+                    holds = monoids._leq_on_image(side, fixed, xyx)
+                    assert holds == side.leq(x, xyx), (side.converse, x, y)
+                    verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
