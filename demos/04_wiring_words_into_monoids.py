@@ -25,12 +25,12 @@ print(f"in {K}: {accepts(dfa, expansion('abbbbbbab'))}")
 # the equation x <= x y x fails in K's monoid for x = h(ab), y = h(a);
 # the witness embeds y into the word ab at position 1
 rec = recognize(dfa)
-fact = factorize_subword_witness(rec.morphism, "ab", (1,))
-x = rec.morphism.eval("ab")
-y = rec.morphism.eval("a")
+m = rec.monoid
+fact = factorize_subword_witness(m, "ab", (1,))
+x = m.eval("ab")
+y = m.eval("a")
 print(f"\nfactors t={len(fact.xs)}, xs={fact.xs}, ys={fact.ys}")
 
-m = rec.monoid
 good_word = wiring(fact, unpack((1, 2, 3)))
 bad_word = wiring(fact, unpack((1, None, 3)))  # block 2 carries no x
 print(f"wired good word product = {m.product(good_word)} (x = {x})")

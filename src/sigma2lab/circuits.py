@@ -137,10 +137,13 @@ def densest_and_gate(c: Sigma2Circuit, accepted) -> tuple[int, list[str]]:
 
 @dataclass(frozen=True)
 class AdversaryResult:
-    status: str  # "refuted" or "hypothesis_not_met"
     gate: int
     family_size: int
-    word: str | None
+    word: str | None  # the refuting limit, or None when the oracle had none
+
+    @property
+    def status(self) -> str:
+        return "refuted" if self.word is not None else "hypothesis_not_met"
 
 
 def adversary(c: Sigma2Circuit, accepted, k: int, oracle, not_in_language) -> AdversaryResult:
@@ -163,9 +166,7 @@ def adversary(c: Sigma2Circuit, accepted, k: int, oracle, not_in_language) -> Ad
     gate, family = densest_and_gate(c, accepted)
     produced = oracle(family, k)
     if produced is None:
-        return AdversaryResult(
-            status="hypothesis_not_met", gate=gate, family_size=len(family), word=None
-        )
+        return AdversaryResult(gate=gate, family_size=len(family), word=None)
     u = produced.word
     if not not_in_language(u):
         raise VerificationError("oracle produced a word inside the language")
@@ -173,9 +174,7 @@ def adversary(c: Sigma2Circuit, accepted, k: int, oracle, not_in_language) -> Ad
         raise VerificationError("oracle produced a word that is not a k-limit")
     if not eval_circuit(c, u):
         raise VerificationError("a k-limit of the gate family must stay accepted")
-    return AdversaryResult(
-        status="refuted", gate=gate, family_size=len(family), word=u
-    )
+    return AdversaryResult(gate=gate, family_size=len(family), word=u)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
     """Wire a word through the failing equation pair of a language."""
     check_block_word(word)
     rec = recognize(compile_pattern(lang, tuple(alphabet)))
-    w = check_sigma2(rec, subword_relation(rec.morphism))
+    w = check_sigma2(rec, subword_relation(rec.monoid))
     if w is None:
         _emit(
             {
@@ -415,9 +415,7 @@ def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
             as_json,
         )
         return
-    fact = factorize_subword_witness(
-        rec.morphism, w.pair_witness.word, w.pair_witness.positions
-    )
+    fact = factorize_subword_witness(rec.monoid, w.pair_witness.word, w.pair_witness.positions)
     wired = wiring(fact, word)
     product = rec.monoid.product(wired)
     _emit(

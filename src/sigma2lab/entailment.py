@@ -501,10 +501,13 @@ def _encoding(report: TangledReport) -> EncodingReport:
 
 @dataclass(frozen=True)
 class DichotomyResult:
-    tangled: bool
     family_size: int
     limit: EntailmentLimit | None = None
-    encoding: EncodingReport | None = None
+    encoding: EncodingReport | None = None  # set iff the family is tangled
+
+    @property
+    def tangled(self) -> bool:
+        return self.encoding is not None
 
 
 def dichotomy_suite(family, k: int) -> DichotomyResult:
@@ -519,11 +522,11 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     report = is_tangled(family, k)
     size = len(report.members)
     if report.witness is None:
-        return DichotomyResult(tangled=True, family_size=size, encoding=_encoding(report))
+        return DichotomyResult(family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)
     failure = check_packed_limit_conditions(pack(limit.word), limit.source, report.index, k)
     if failure is not None:
         raise VerificationError(
             f"limit conditions failed on a constructed limit: {failure.detail}"
         )
-    return DichotomyResult(tangled=False, family_size=size, limit=limit)
+    return DichotomyResult(family_size=size, limit=limit)

@@ -22,7 +22,7 @@ class UnknownSymbolError(ToolkitError):
 
 
 class AlphabetMismatchError(ToolkitError):
-    """Two automata were combined but their alphabets differ."""
+    """An alphabet names the same symbol twice."""
 
 
 class NotMinimalError(ToolkitError):
@@ -38,11 +38,16 @@ class NonSquareLengthError(ToolkitError):
 
 
 class PackError(ToolkitError):
-    """A block contained more than one marked letter and cannot be packed."""
+    """A block word or its packed form is malformed.
+
+    A block holds more than one a, a letter is neither a nor b, a packed
+    entry or position is out of range, a member code does not decode, or
+    a k-limit check gets k < 0 or family words of another length.
+    """
 
 
 class MalformedPairSetError(ToolkitError):
-    """A pair set or column set violated its shape constraints."""
+    """A set of (position, content) pairs violated its shape constraints."""
 
 
 class DegeneracyError(ToolkitError):

@@ -1,14 +1,15 @@
 """Ordered syntactic monoids and the equation-based class checks.
 
-The transition monoid of a minimal DFA is computed by breadth-first
-closure over the generator transformations, so element 0 is always the
-identity and every element keeps its state transformation and a shortest
-representative word (ties broken lexicographically by the alphabet
-order). The closure is the right Cayley graph, and no table of all
-products is built: s t walks the letters of t's representative from s
-along that graph. The left Cayley graph is read off the right one with
-no composition, and the J-classes off both (Froidure & Pin, Algorithms
-for computing finite semigroups, 1997).
+The transition monoid of a minimal DFA is the image of its letters, so
+one record, TransitionMonoid, is both the monoid and the morphism onto
+it (Froidure & Pin, Algorithms for computing finite semigroups, 1997).
+A breadth-first closure from the identity, element 0, finds each element
+with its state map and a shortest representative word (ties broken
+lexicographically by the alphabet order). The closure is the right
+Cayley graph, and no table of all products is built: s t walks the
+letters of t's representative from s along that graph. The left Cayley
+graph is read off the right one with no composition, and the J-classes
+off both.
 The syntactic order is "more accepting is larger": s <= t when every
 context accepting s accepts t. syntactic_order answers each query from
 the states ordered by inclusion of their residuals, s <= t iff
@@ -16,9 +17,9 @@ r s <= r t for every state r (Pin, Syntactic semigroups, 1997).
 Residual inclusion is read off the co-states (the
 sets of states a word leads into F, Brzozowski 1962) enumerated after
 the closure: q's lies in r's iff every co-state holding q holds r.
-A Recognition is the minimal DFA, its morphism and a converse flag; the
-complement's bundle flips the accepting states and swaps s and t, and
-every other value is read from those three.
+A Recognition is the minimal DFA, its transition monoid and a converse
+flag; the complement's bundle flips the accepting states, shares the
+monoid and swaps s and t, and every other value is read from those three.
 
 Membership in sigma2 (first-order logic with two blocks of quantifiers
 over ordered positions, existential first) holds iff x <= x y x for
@@ -27,7 +28,7 @@ pairs with x; pi2 is the check on the complement, delta2 both. A
 J-class shares one bitset of companions (the x paired with a y form an
 ideal), and its idempotents are conjugate, so both run once per class.
 x <= x y x is asked only at the states in the image of x, which x fixes.
-A failing pair's shortest witness is searched for once per morphism;
+A failing pair's shortest witness is searched for once per monoid;
 a check returns the witness of its first failure, or None when it holds.
 """
 
@@ -56,18 +57,27 @@ _NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize f
 
 
 @dataclass(frozen=True)
-class FiniteMonoid:
-    """The right Cayley graph of a monoid generated by letters.
+class TransitionMonoid:
+    """The transition monoid of a minimal DFA, as the image of its letters.
 
     right[a][s] is s times letter a. Element 0 is the identity; any other
     s is letter first[s] times element suffix[s], its representative
     split after the first letter, so s t walks t's letters from s.
     """
 
+    alphabet: tuple[str, ...]
     right: tuple[tuple[int, ...], ...]
     first: tuple[int, ...]
     suffix: tuple[int, ...]
+    generator: dict[str, int] = field(hash=False)  # each letter's image
+    representative: tuple[Word, ...]  # shortest word per element, lex-minimal
+    action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
+    j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
+    # state_order[q]: bit r set iff q's residual lies in r's; the language's
+    # order, which Recognition.complemented() shares and reads conversely
+    state_order: tuple[int, ...]
     _idempotents: list = field(default_factory=list, compare=False, hash=False, repr=False)
+    _witnesses: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
     identity = 0
 
     @property
@@ -100,22 +110,6 @@ class FiniteMonoid:
             self._idempotents.extend(e for e in range(self.size) if self.mul(e, e) == e)
         return self._idempotents
 
-
-@dataclass(frozen=True)
-class Morphism:
-    """Morphism from words over the source alphabet onto the monoid."""
-
-    alphabet: tuple[str, ...]
-    monoid: FiniteMonoid
-    generator: dict[str, int] = field(hash=False)
-    representative: tuple[Word, ...]  # shortest word per element, lex-minimal
-    action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
-    j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
-    # state_order[q]: bit r set iff q's residual lies in r's; the language's
-    # order, which Recognition.complemented() shares and reads conversely
-    state_order: tuple[int, ...]
-    _witnesses: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-
     def image(self, sym: str) -> int:
         try:
             return self.generator[sym]
@@ -123,11 +117,11 @@ class Morphism:
             raise UnknownSymbolError(f"symbol {sym!r} not in alphabet") from None
 
     def eval(self, w: str | Sequence[str]) -> int:
-        return self.monoid.product(map(self.image, as_word(w, self.alphabet)))
+        return self.product(map(self.image, as_word(w, self.alphabet)))
 
 
-def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
-    """The evaluation morphism onto the transition monoid of a minimal DFA.
+def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMonoid:
+    """The transition monoid of a minimal DFA, with its letters' images.
 
     Elements are state transformations discovered breadth-first from the
     identity, so indices are stable for a given DFA; each new s a is
@@ -194,9 +188,11 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Morphism:
     for row in left:
         for p, b in zip(prefix[1:], last[1:]):
             row.append(right[b][row[p]])
-    return Morphism(
+    return TransitionMonoid(
         alphabet=d.alphabet,
-        monoid=FiniteMonoid(tuple(map(tuple, right)), tuple(first), tuple(suffix)),
+        right=tuple(map(tuple, right)),
+        first=tuple(first),
+        suffix=tuple(suffix),
         generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
         representative=tuple(words),
         action=tuple(elements),
@@ -240,38 +236,34 @@ def _j_classes(size: int, edges: list[list[int]]) -> tuple[int, ...]:
 # syntactic order and the recognition bundle
 
 
-def syntactic_order(morphism: Morphism, s: int, t: int) -> bool:
+def syntactic_order(monoid: TransitionMonoid, s: int, t: int) -> bool:
     """Is s <= t in the syntactic order of a minimal DFA's transition monoid?
 
     q <= r when the residual of q (the language q accepts) is included in
-    that of r: bit r of morphism.state_order[q], read off the co-states
+    that of r: bit r of monoid.state_order[q], read off the co-states
     transition_monoid enumerates after its closure. Since every state is
     reachable, s <= t (every accepting context of s accepts t) iff
     r s <= r t for every state r, and action[s][r] is r s.
     """
-    up, action = morphism.state_order, morphism.action
+    up, action = monoid.state_order, monoid.action
     return all(up[p] >> q & 1 for p, q in zip(action[s], action[t]))
 
 
 @dataclass(frozen=True)
 class Recognition:
-    """A minimal DFA and its transition morphism, ordered for the DFA's language.
+    """A minimal DFA and its transition monoid, ordered for the DFA's language.
 
-    converse marks the complement's bundle: same morphism, converse order.
+    converse marks the complement's bundle: same monoid, converse order.
     """
 
     dfa: Dfa
-    morphism: Morphism
+    monoid: TransitionMonoid
     converse: bool = False
-
-    @property
-    def monoid(self) -> FiniteMonoid:
-        return self.morphism.monoid
 
     def leq(self, s: int, t: int) -> bool:
         if self.converse:
             s, t = t, s
-        return syntactic_order(self.morphism, s, t)
+        return syntactic_order(self.monoid, s, t)
 
     def complemented(self) -> "Recognition":
         """Recognition of the complement: same monoid, converse order.
@@ -286,13 +278,13 @@ class Recognition:
 def recognize(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> Recognition:
     """Build the ordered syntactic monoid bundle for (the minimization of) d."""
     d = minimize(d)
-    return Recognition(dfa=d, morphism=transition_monoid(d, max_size=max_size))
+    return Recognition(dfa=d, monoid=transition_monoid(d, max_size=max_size))
 
 
 def neutral_letters(rec: Recognition) -> frozenset[str]:
     """Letters whose image is the identity; they never affect membership."""
-    h = rec.morphism
-    return frozenset(sym for sym in h.alphabet if h.image(sym) == h.monoid.identity)
+    m = rec.monoid
+    return frozenset(sym for sym in m.alphabet if m.image(sym) == m.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,7 @@ def _members(bits: int) -> list[int]:
     return [i for i, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"]
 
 
-def subword_relation(morphism: Morphism) -> SubwordRelation:
+def subword_relation(monoid: TransitionMonoid) -> SubwordRelation:
     """The submonoid of M x M generated by (h(a), h(a)) and (h(a), 1).
 
     With (x, y) it holds (g x, y) and (x g, y), so a J-class shares its
@@ -342,16 +334,16 @@ def subword_relation(morphism: Morphism) -> SubwordRelation:
     give, closes under the generators that keep it in place, and gives to
     the classes below; they inherit the images Y g and compute their own.
     """
-    j_class = morphism.j_class
+    j_class = monoid.j_class
     # the right Cayley graph's columns, one per generator g: x g is column[x]
-    columns = list(dict.fromkeys(morphism.monoid.right))
+    columns = list(dict.fromkeys(monoid.right))
     # moves[c][i]: the classes of x g_i for x in class c
     moves = [[set() for _ in columns] for _ in range(max(j_class) + 1)]
     for x, c in enumerate(j_class):
         for i, column in enumerate(columns):
             moves[c][i].add(j_class[column[x]])
     # found[c]: the companions class c has so far; images[c][i]: known[c] g_i
-    found = [1 << morphism.monoid.identity] + [0] * (len(moves) - 1)
+    found = [1 << monoid.identity] + [0] * (len(moves) - 1)
     known = [0] * len(moves)
     images: list = [[0] * len(columns) for _ in moves]
     for c, targets in enumerate(moves):
@@ -378,20 +370,20 @@ def subword_relation(morphism: Morphism) -> SubwordRelation:
     return SubwordRelation(tuple(found[c] for c in j_class))
 
 
-def subword_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
-    """A shortest witness of pair, searched for once per morphism.
+def subword_witness(monoid: TransitionMonoid, pair: tuple[int, int]) -> SubwordWitness:
+    """A shortest witness of pair, searched for once per monoid.
 
     Each breadth-first level keeps, per pair it reaches first, only the
     least (word, positions) reaching it, which sorting the level would make
     the pair's first claim. Raises PreconditionError for an unrelated pair.
     """
-    if pair not in morphism._witnesses:
-        morphism._witnesses[pair] = _least_witness(morphism, pair)
-    return morphism._witnesses[pair]
+    if pair not in monoid._witnesses:
+        monoid._witnesses[pair] = _least_witness(monoid, pair)
+    return monoid._witnesses[pair]
 
 
-def _least_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
-    right, one = morphism.monoid.right, morphism.monoid.identity
+def _least_witness(monoid: TransitionMonoid, pair: tuple[int, int]) -> SubwordWitness:
+    right, one = monoid.right, monoid.identity
     level, claimed = {(one, one): ((), ())}, set()  # claimed: reached when shorter
     while pair not in level:
         if not level:
@@ -400,7 +392,7 @@ def _least_witness(morphism: Morphism, pair: tuple[int, int]) -> SubwordWitness:
         grown = {}
         for (x, y), (w, ps) in level.items():
             marked = ps + (len(w) + 1,)
-            for sym, column in zip(morphism.alphabet, right):
+            for sym, column in zip(monoid.alphabet, right):
                 nw, xg = w + (sym,), column[x]
                 for reached, c in ((xg, y), (nw, ps)), ((xg, column[y]), (nw, marked)):
                     if reached not in claimed and (reached not in grown or c < grown[reached]):
@@ -444,12 +436,12 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
     and e <= e (a y b) e gives f <= f y f. An order that denies x <= xyx
     with no separating context is wrong, and raises VerificationError.
     """
-    monoid, j_class, action = rec.monoid, rec.morphism.j_class, rec.morphism.action
+    monoid = rec.monoid
     passed = set()  # J-classes whose first idempotent passed
     for x in monoid.idempotents():
-        if j_class[x] in passed:
+        if monoid.j_class[x] in passed:
             continue
-        fixed = set(action[x])  # the image of x, each of its states fixed by x
+        fixed = set(monoid.action[x])  # the image of x, each of its states fixed by x
         for y in sw.subwords_of(x):
             xyx = monoid.mul(monoid.mul(x, y), x)
             if _leq_on_image(rec, fixed, xyx):
@@ -460,10 +452,10 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
                     f"the order denies x <= xyx for x={x}, y={y}, "
                     "but no context separates x from xyx"
                 )
-            (p, q), rep = context, rec.morphism.representative
-            pair = subword_witness(rec.morphism, (x, y))
+            (p, q), rep = context, monoid.representative
+            pair = subword_witness(monoid, (x, y))
             return EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
-        passed.add(j_class[x])
+        passed.add(monoid.j_class[x])
     return None
 
 
@@ -474,7 +466,7 @@ def _leq_on_image(rec: Recognition, fixed: set[int], t: int) -> bool:
     q x = q; so x <= t iff q <= q t for every q in the image, rec.leq
     asked at rank(x) states instead of all of them.
     """
-    up, moved = rec.morphism.state_order, rec.morphism.action[t]
+    up, moved = rec.monoid.state_order, rec.monoid.action[t]
     if rec.converse:
         return all(up[moved[q]] >> q & 1 for q in fixed)
     return all(up[q] >> moved[q] & 1 for q in fixed)
@@ -489,7 +481,7 @@ def _separating_context(rec: Recognition, s: int, t: int) -> tuple[int, int] | N
     side), and q the first element taking r s into F and r t out of it.
     None when the states give no such context.
     """
-    d, action, up = rec.dfa, rec.morphism.action, rec.morphism.state_order
+    d, action, up = rec.dfa, rec.monoid.action, rec.monoid.state_order
     for p, image in enumerate(action):
         into, out = action[s][image[d.initial]], action[t][image[d.initial]]
         lower, upper = (out, into) if rec.converse else (into, out)
@@ -536,7 +528,7 @@ def classify(d: Dfa, description: str = "") -> ClassReport:
 
 def classify_recognition(rec: Recognition, description: str = "") -> ClassReport:
     """classify for callers that already hold the recognition bundle."""
-    sw = subword_relation(rec.morphism)
+    sw = subword_relation(rec.monoid)
     return ClassReport(
         description=description,
         subword_pair_count=sum(bits.bit_count() for bits in sw.companions),

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 from .blockwords import A, B, blocks
 from .errors import PreconditionError
-from .monoids import Morphism
+from .monoids import TransitionMonoid
 
 SEPARATOR = "b"
 FILLER = "c"
 MARK = "a"
-# transition_monoid numbers the identity 0; the wired words pad with it
-IDENTITY = 0
+IDENTITY = TransitionMonoid.identity  # the wired words pad with it
 
 
 def expansion(w: str) -> str:
@@ -57,9 +56,7 @@ class Factorization:
     ys: tuple[int, ...]
 
 
-def factorize_subword_witness(
-    morphism: Morphism, word, positions
-) -> Factorization:
+def factorize_subword_witness(monoid: TransitionMonoid, word, positions) -> Factorization:
     """Split a witness word at its marked positions and evaluate the parts."""
     w = list(word)
     pos = list(positions)
@@ -67,18 +64,17 @@ def factorize_subword_witness(
         raise PreconditionError(
             f"positions {positions!r} must be strictly increasing within the word"
         )
-    ident = morphism.monoid.identity
     xs: list[int] = []
     ys: list[int] = []
     prev = 0
     for p in pos:
-        xs.append(morphism.eval(w[prev : p - 1]))
-        ys.append(morphism.image(w[p - 1]))
+        xs.append(monoid.eval(w[prev : p - 1]))
+        ys.append(monoid.image(w[p - 1]))
         prev = p
     trailing = w[prev:]
     if trailing or not pos:
-        xs.append(morphism.eval(trailing))
-        ys.append(ident)
+        xs.append(monoid.eval(trailing))
+        ys.append(IDENTITY)
     return Factorization(xs=tuple(xs), ys=tuple(ys))
 
 

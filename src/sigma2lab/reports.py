@@ -14,9 +14,9 @@ from .languages import accepts
 from .monoids import (
     ClassReport,
     EquationWitness,
-    Morphism,
     Recognition,
     SubwordWitness,
+    TransitionMonoid,
     neutral_letters,
 )
 
@@ -45,7 +45,7 @@ def witness_to_dict(w: EquationWitness) -> dict:
 
 
 def verify_subword_witness(
-    morphism: Morphism, pair: tuple[int, int], wit: SubwordWitness
+    monoid: TransitionMonoid, pair: tuple[int, int], wit: SubwordWitness
 ) -> bool:
     """Do the marked positions of the word evaluate to y, and the word to x?"""
     x, y = pair
@@ -54,7 +54,7 @@ def verify_subword_witness(
     if list(wit.positions) != sorted(set(wit.positions)):
         return False
     sub = tuple(wit.word[p - 1] for p in wit.positions)
-    return morphism.eval(wit.word) == x and morphism.eval(sub) == y
+    return monoid.eval(wit.word) == x and monoid.eval(sub) == y
 
 
 def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
@@ -62,19 +62,18 @@ def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
 
     The witness claims p x q is in the language of rec while p x y x q
     is not. Both memberships are replayed on the DFA; the algebraic
-    claims about the pair are checked against the morphism. A pi2
+    claims about the pair are checked against the monoid. A pi2
     witness is replayed on the complemented recognition it was found on.
     """
-    h = rec.morphism
     m = rec.monoid
-    x, y = h.eval(w.x_word), h.eval(w.y_word)
+    x, y = m.eval(w.x_word), m.eval(w.y_word)
     inner_in = accepts(rec.dfa, w.p_word + w.x_word + w.q_word)
     outer_in = accepts(rec.dfa, w.p_word + w.x_word + w.y_word + w.x_word + w.q_word)
     checks = {
         "x_word_maps_to_x": x == w.x,
         "y_word_maps_to_y": y == w.y,
         "x_is_idempotent": m.mul(x, x) == x,
-        "pair_witness_valid": verify_subword_witness(h, (w.x, w.y), w.pair_witness),
+        "pair_witness_valid": verify_subword_witness(m, (w.x, w.y), w.pair_witness),
         "memberships_separate": inner_in and not outer_in,
     }
     checks["passed"] = all(checks.values())
@@ -107,7 +106,7 @@ def class_report_to_dict(rec: Recognition, report: ClassReport) -> dict:
         ]
     return {
         "description": report.description,
-        "alphabet": list(rec.morphism.alphabet),
+        "alphabet": list(rec.monoid.alphabet),
         "monoid": {
             "size": rec.monoid.size,
             "idempotents": len(rec.monoid.idempotents()),

@@ -41,4 +41,4 @@ def k_rec(k_dfa):
 
 @pytest.fixture(scope="session")
 def k_sw(k_rec):
-    return subword_relation(k_rec.morphism)
+    return subword_relation(k_rec.monoid)

@@ -55,9 +55,8 @@ from sigma2lab.errors import (
 from sigma2lab.languages import Dfa, accepts, minimize
 from sigma2lab.monoids import (
     EquationWitness,
-    FiniteMonoid,
-    Morphism,
     SubwordRelation,
+    TransitionMonoid,
     subword_witness,
 )
 from sigma2lab.reductions import IDENTITY, Factorization
@@ -337,7 +336,7 @@ def moore_state_count(d) -> int:
 
 
 def bfs_transition_monoid(d, max_size):
-    """The morphism onto the transition monoid, every product composed and hashed.
+    """The transition monoid, every product composed and hashed.
 
     The same breadth-first closure as the package, but the right Cayley
     graph and each element's first-letter split are read off the M^2
@@ -372,14 +371,11 @@ def bfs_transition_monoid(d, max_size):
     for e, word in enumerate(words):
         for sym in word[1:]:
             suffix[e] = table[suffix[e]][generator[sym]]
-    monoid = FiniteMonoid(
+    return TransitionMonoid(
+        alphabet=d.alphabet,
         right=tuple(tuple(row[generator[sym]] for row in table) for sym in d.alphabet),
         first=tuple(d.alphabet.index(word[0]) if word else -1 for word in words),
         suffix=tuple(suffix),
-    )
-    return Morphism(
-        alphabet=d.alphabet,
-        monoid=monoid,
         generator=generator,
         representative=tuple(words),
         action=tuple(elements),
@@ -402,7 +398,7 @@ def accepted_elements(rec) -> frozenset[int]:
     """The elements sending the initial state into F, an upper set."""
     d = rec.dfa
     return frozenset(
-        e for e, image in enumerate(rec.morphism.action) if image[d.initial] in d.accepting
+        e for e, image in enumerate(rec.monoid.action) if image[d.initial] in d.accepting
     )
 
 
@@ -466,26 +462,26 @@ def words_up_to_oracle(alphabet, max_len):
     return out
 
 
-def brute_subword_pairs(morphism, max_len: int):
+def brute_subword_pairs(monoid, max_len: int):
     """All (h(w), h(v)) with v a subsequence of w and |w| bounded."""
     pairs = set()
-    for w in words_up_to_oracle(morphism.alphabet, max_len):
-        x = morphism.eval(w)
+    for w in words_up_to_oracle(monoid.alphabet, max_len):
+        x = monoid.eval(w)
         for size in range(len(w) + 1):
             for positions in combinations(range(len(w)), size):
-                pairs.add((x, morphism.eval(tuple(w[i] for i in positions))))
+                pairs.add((x, monoid.eval(tuple(w[i] for i in positions))))
     return pairs
 
 
-def bfs_subword_relation(morphism):
+def bfs_subword_relation(monoid):
     """The subword relation with a shortest witness per pair, all at once.
 
     Breadth-first over word lengths: each level's candidates are sorted
     by (word, positions) and the first to reach a pair claims it. Returns
     the set of pairs and a dict from pair to (word, positions).
     """
-    table = composition_table(morphism.action)
-    ident = morphism.monoid.identity
+    table = composition_table(monoid.action)
+    ident = monoid.identity
     start = (ident, ident)
     witness = {start: ((), ())}
     frontier = [(start, (), ())]
@@ -493,8 +489,8 @@ def bfs_subword_relation(morphism):
         candidates = []
         for (x, y), w, ps in frontier:
             pos = len(w) + 1
-            for sym in morphism.alphabet:
-                g = morphism.image(sym)
+            for sym in monoid.alphabet:
+                g = monoid.image(sym)
                 nw = w + (sym,)
                 candidates.append((nw, ps, (table[x][g], y)))
                 candidates.append((nw, ps + (pos,), (table[x][g], table[y][g])))
@@ -507,17 +503,17 @@ def bfs_subword_relation(morphism):
     return set(witness), witness
 
 
-def worklist_subword_relation(morphism) -> SubwordRelation:
+def worklist_subword_relation(monoid) -> SubwordRelation:
     """The subword relation closed element by element, with no J-classes.
 
     A worklist closes {(1, 1)} under right multiplication by the
     generator pairs, one bitset of companions per x; only the bits new
     to x since it was last processed are pushed on.
     """
-    table = composition_table(morphism.action)
-    gens = set(morphism.generator.values())
-    one = morphism.monoid.identity
-    companions = [0] * morphism.monoid.size
+    table = composition_table(monoid.action)
+    gens = set(monoid.generator.values())
+    one = monoid.identity
+    companions = [0] * monoid.size
     companions[one] = 1 << one
     new = {one: 1 << one}  # x -> its companions not yet pushed on
     while new:
@@ -543,8 +539,8 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
     with the first separating context and the package's pair witness,
     and None means the equation holds.
     """
-    table, acc = composition_table(rec.morphism.action), accepted_elements(rec)
-    rep, size = rec.morphism.representative, len(table)
+    table, acc = composition_table(rec.monoid.action), accepted_elements(rec)
+    rep, size = rec.monoid.representative, len(table)
     for x in (e for e in range(size) if table[e][e] == e):
         for y in range(size):
             if not sw.companions[x] >> y & 1:
@@ -566,7 +562,7 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
                 y_word=rep[y],
                 p_word=rep[p],
                 q_word=rep[q],
-                pair_witness=subword_witness(rec.morphism, (x, y)),
+                pair_witness=subword_witness(rec.monoid, (x, y)),
             )
     return None
 
@@ -584,7 +580,7 @@ def monoid_law_failure(table, e):
 
 def order_law_failure(rec):
     """The first partial-order or compatibility law rec's order breaks, or None."""
-    table, leq = composition_table(rec.morphism.action), rec.leq
+    table, leq = composition_table(rec.monoid.action), rec.leq
     size = len(table)
     for s in range(size):
         if not leq(s, s):
@@ -936,7 +932,7 @@ def confirm_failing_pair(rec, sw, x_word, y_word) -> dict:
     externally supplied witness independently of the minimal witness
     the checker itself reports.
     """
-    h = rec.morphism
+    h = rec.monoid
     x = h.eval(x_word)
     y = h.eval(y_word)
     table = composition_table(h.action)

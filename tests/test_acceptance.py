@@ -104,11 +104,11 @@ def test_criterion_2():
     report = classify(d, description="K'")
     assert report.sigma2 is not None
     assert report.pi2 is not None
-    sw = subword_relation(rec.morphism)
+    sw = subword_relation(rec.monoid)
     direct = confirm_failing_pair(rec, sw, ("a", "b", "a", "b"), ("b", "a"))
     assert direct["valid_failing_pair"], direct
     crec = rec.complemented()
-    csw = subword_relation(crec.morphism)
+    csw = subword_relation(crec.monoid)
     comp = confirm_failing_pair(
         crec, csw, ("a", "b", "a", "b", "a", "b"), ("b", "b", "a")
     )
@@ -165,11 +165,11 @@ def test_criterion_4():
     assert classify(marked, description="marked").sigma2 is None
     assert classify(compile_pattern("(a+b)*", AB), description="full").sigma2 is None
     rec = recognize(marked)
-    sw = subword_relation(rec.morphism)
+    sw = subword_relation(rec.monoid)
     ident = rec.monoid.identity
-    z = rec.morphism.image("a")
+    z = rec.monoid.image("a")
     assert sw.pairs == {(ident, ident), (z, ident), (z, z)}
-    assert sw.pairs == brute_subword_pairs(rec.morphism, 6)
+    assert sw.pairs == brute_subword_pairs(rec.monoid, 6)
 
 
 @criterion(5, "pack and unpack examples bit-exact; 64-word domain roundtrip")
@@ -203,10 +203,10 @@ def test_criterion_6():
 def test_criterion_7():
     t0 = time.perf_counter()
     rec = recognize(compile_pattern(K_PATTERN, ABC))
-    fact = factorize_subword_witness(rec.morphism, "ab", (1,))
+    fact = factorize_subword_witness(rec.monoid, "ab", (1,))
     m = rec.monoid
-    x = rec.morphism.eval("ab")
-    y = rec.morphism.eval("a")
+    x = rec.monoid.eval("ab")
+    y = rec.monoid.eval("a")
     xyx = m.mul(m.mul(x, y), x)
     rng = random.Random(70)
     sampled = 0

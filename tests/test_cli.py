@@ -227,7 +227,7 @@ def test_tangled_verification_passes_only_on_distinct_codes(runner, monkeypatch)
     monkeypatch.setattr(
         cli,
         "dichotomy_suite",
-        lambda words, k: DichotomyResult(tangled=True, family_size=2, encoding=shared),
+        lambda words, k: DichotomyResult(family_size=2, encoding=shared),
     )
     payload = invoke_json(
         runner, ["lab", "tangled", "--n", "9", "--k", "1", "--family", "1,1,1;2,2,2"]

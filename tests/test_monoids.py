@@ -114,17 +114,17 @@ def test_full_language_monoid_is_trivial():
 
 def test_even_length_a_monoid():
     rec = _rec("(aa)*", ("a",))
-    m, h = rec.monoid, rec.morphism
+    m = rec.monoid
     assert m.size == 2
-    assert m.mul(h.image("a"), h.image("a")) == m.identity
+    assert m.mul(m.image("a"), m.image("a")) == m.identity
 
 
 def test_contains_a_monoid():
     rec = _rec("(a+b)*a(a+b)*", AB)
-    m, h = rec.monoid, rec.morphism
-    z = h.image("a")
+    m = rec.monoid
+    z = m.image("a")
     assert m.size == 2
-    assert h.image("b") == m.identity
+    assert m.image("b") == m.identity
     assert z != m.identity
     # z is absorbing
     assert m.mul(z, m.identity) == z
@@ -132,14 +132,14 @@ def test_contains_a_monoid():
 
 
 def test_block_language_monoid_frozen(k_rec):
-    m, h = k_rec.monoid, k_rec.morphism
+    m = k_rec.monoid
     assert m.size == 6
-    assert h.representative == ((), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"))
+    assert m.representative == ((), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"))
     assert accepted_elements(k_rec) == frozenset({0, 4})
     assert sorted(m.idempotents()) == [0, 3, 4, 5]
-    assert h.image("c") == m.identity
+    assert m.image("c") == m.identity
     # aa is a zero: no continuation ever accepts
-    zero = h.eval("aa")
+    zero = m.eval("aa")
     assert all(m.mul(zero, e) == zero and m.mul(e, zero) == zero for e in range(6))
 
 
@@ -200,7 +200,7 @@ def test_ladder_k10_is_classified_in_little_time():
 
 def test_monoid_size_guard_counts_the_identity():
     trivial = compile_pattern("(a+b)*", AB)
-    assert transition_monoid(trivial, max_size=1).monoid.size == 1
+    assert transition_monoid(trivial, max_size=1).size == 1
     for limit in (0, -3):
         with pytest.raises(MonoidSizeError, match=f"exceeds {limit} elements"):
             transition_monoid(trivial, max_size=limit)
@@ -209,7 +209,7 @@ def test_monoid_size_guard_counts_the_identity():
 
 
 def test_morphism_eval_and_unknown_symbol(k_rec):
-    h = k_rec.morphism
+    h = k_rec.monoid
     assert h.eval("abab") == h.eval("ab")
     assert h.eval("") == k_rec.monoid.identity
     with pytest.raises(UnknownSymbolError):
@@ -223,7 +223,9 @@ def _monoid_or_error(build, d, max_size):
     except (MonoidSizeError, NotMinimalError) as err:
         return type(err)
     return {
-        "monoid": h.monoid,
+        "right": h.right,
+        "first": h.first,
+        "suffix": h.suffix,
         "table": composition_table(h.action),
         "generator": h.generator,
         "representative": h.representative,
@@ -260,7 +262,7 @@ def test_table_matches_composition_oracle():
         assert got == _monoid_or_error(bfs_transition_monoid, d, 120), d
         kinds.add(got if isinstance(got, type) else "monoid")
         if isinstance(got, dict):
-            m, table = got["monoid"], got["table"]
+            m, table = transition_monoid(d, 120), got["table"]
             assert all(m.mul(s, t) == table[s][t] for s in range(m.size) for t in range(m.size))
             size = m.size
             for build in (transition_monoid, bfs_transition_monoid):
@@ -291,7 +293,7 @@ def test_order_matches_definitional_oracle(pattern, alphabet):
     rec = _rec(pattern, alphabet)
     # the complement's order is the language's order reversed
     for side in (rec, rec.complemented()):
-        brute = definitional_order(composition_table(side.morphism.action), accepted_elements(side))
+        brute = definitional_order(composition_table(side.monoid.action), accepted_elements(side))
         computed = {
             (s, t)
             for s in range(side.monoid.size)
@@ -311,13 +313,13 @@ def test_order_upper_set(k_rec):
 
 def test_contains_a_order():
     rec = _rec("(a+b)*a(a+b)*", AB)
-    one, z = rec.monoid.identity, rec.morphism.image("a")
+    one, z = rec.monoid.identity, rec.monoid.image("a")
     assert rec.leq(one, z)
     assert not rec.leq(z, one)
 
 
 def test_block_language_order_refuses_xyx(k_rec):
-    h = k_rec.morphism
+    h = k_rec.monoid
     x = h.eval("abab")
     xyx = h.eval("ababbaabab")
     assert not k_rec.leq(x, xyx)
@@ -329,7 +331,7 @@ def test_block_language_order_refuses_xyx(k_rec):
 def test_random_orders_match_definitional_oracle():
     for _, rec in _random_minimal_recognitions(3, 40, 4, 20):
         for side in (rec, rec.complemented()):
-            brute = definitional_order(composition_table(side.morphism.action), accepted_elements(side))
+            brute = definitional_order(composition_table(side.monoid.action), accepted_elements(side))
             m = side.monoid.size
             computed = {
                 (s, t) for s in range(m) for t in range(m) if side.leq(s, t)
@@ -341,18 +343,17 @@ def test_recognition_membership_sampled(k_rec):
     rng, accepted = random.Random(4), accepted_elements(k_rec)
     for _ in range(1000):
         w = "".join(rng.choice(ABC) for _ in range(rng.randint(0, 8)))
-        assert (k_rec.morphism.eval(w) in accepted) == accepts(k_rec.dfa, w)
+        assert (k_rec.monoid.eval(w) in accepted) == accepts(k_rec.dfa, w)
 
 
 def test_complemented_recognition(k_rec):
     co = k_rec.complemented()
     assert co.dfa == complement(k_rec.dfa)
     assert co.monoid is k_rec.monoid
-    assert co.morphism is k_rec.morphism
     accepted, co_accepted = accepted_elements(k_rec), accepted_elements(co)
     assert co_accepted == frozenset(range(6)) - accepted
     for w in ["", "ab", "ba", "acb", "abc"]:
-        assert (co.morphism.eval(w) in co_accepted) == (k_rec.morphism.eval(w) not in accepted)
+        assert (co.monoid.eval(w) in co_accepted) == (k_rec.monoid.eval(w) not in accepted)
     # the flipped order still leaves the flipped accepting set upward closed
     for s in co_accepted:
         for t in range(6):
@@ -365,15 +366,15 @@ def test_complemented_recognition(k_rec):
 def test_the_complement_asks_the_order_with_s_and_t_swapped(monkeypatch, k_rec):
     calls = []
 
-    def recorded(morphism, s, t):
-        calls.append((morphism, s, t))
-        return syntactic_order(morphism, s, t)
+    def recorded(monoid, s, t):
+        calls.append((monoid, s, t))
+        return syntactic_order(monoid, s, t)
 
     monkeypatch.setattr(monoids, "syntactic_order", recorded)
     k_rec.leq(1, 4)
     k_rec.complemented().leq(1, 4)
-    assert calls == [(k_rec.morphism, 1, 4), (k_rec.morphism, 4, 1)]
-    assert all(morphism is k_rec.morphism for morphism, _, _ in calls)
+    assert calls == [(k_rec.monoid, 1, 4), (k_rec.monoid, 4, 1)]
+    assert all(monoid is k_rec.monoid for monoid, _, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_subword_relation_identity_pair(k_rec, k_sw):
 
 def test_block_language_subword_relation_frozen(k_rec, k_sw):
     assert len(k_sw.pairs) == 31
-    h = k_rec.morphism
+    h = k_rec.monoid
     pair = (h.eval("abab"), h.eval("ba"))
     assert pair in k_sw.pairs
     wit = subword_witness(h, pair)
@@ -396,32 +397,32 @@ def test_block_language_subword_relation_frozen(k_rec, k_sw):
 
 
 def test_subword_relation_against_brute_force(k_rec, k_sw):
-    assert k_sw.pairs == brute_subword_pairs(k_rec.morphism, 6)
+    assert k_sw.pairs == brute_subword_pairs(k_rec.monoid, 6)
 
 
 def test_contains_a_subword_relation():
     rec = _rec("(a+b)*a(a+b)*", AB)
-    sw = subword_relation(rec.morphism)
-    one, z = rec.monoid.identity, rec.morphism.image("a")
+    sw = subword_relation(rec.monoid)
+    one, z = rec.monoid.identity, rec.monoid.image("a")
     assert sw.pairs == {(one, one), (z, one), (z, z)}
     assert (one, z) not in sw.pairs
-    assert sw.pairs == brute_subword_pairs(rec.morphism, 6)
+    assert sw.pairs == brute_subword_pairs(rec.monoid, 6)
 
 
 def test_even_length_subword_relation_brute():
     rec = _rec("(aa)*", ("a",))
-    sw = subword_relation(rec.morphism)
-    assert sw.pairs == brute_subword_pairs(rec.morphism, 6)
+    sw = subword_relation(rec.monoid)
+    assert sw.pairs == brute_subword_pairs(rec.monoid, 6)
 
 
 def test_every_witness_verifies(k_rec, k_sw):
     for pair in k_sw.pairs:
-        wit = subword_witness(k_rec.morphism, pair)
-        assert verify_subword_witness(k_rec.morphism, pair, wit)
+        wit = subword_witness(k_rec.monoid, pair)
+        assert verify_subword_witness(k_rec.monoid, pair, wit)
 
 
 def test_witness_verification_rejects_wrong_claims(k_rec, k_sw):
-    h = k_rec.morphism
+    h = k_rec.monoid
     pair = (h.eval("abab"), h.eval("ba"))
     wit = subword_witness(h, pair)
     assert not verify_subword_witness(h, (pair[0], h.eval("ab")), wit)
@@ -448,7 +449,7 @@ def test_relation_stores_only_companions(k_sw):
 def test_witness_refused_outside_the_relation():
     rec = _rec("(a+b)*a(a+b)*", AB)
     with pytest.raises(PreconditionError):
-        subword_witness(rec.morphism, (rec.monoid.identity, rec.morphism.image("a")))
+        subword_witness(rec.monoid, (rec.monoid.identity, rec.monoid.image("a")))
 
 
 def _full_transformation_dfa(n):
@@ -475,13 +476,13 @@ def test_relation_and_witnesses_match_the_bfs_oracle():
     rng = random.Random(6)
     cases = [(rec, False) for rec in named] + [(rec, True) for rec in sampled]
     for rec, sample in cases:
-        pairs, witness = bfs_subword_relation(rec.morphism)
-        assert subword_relation(rec.morphism).pairs == pairs
+        pairs, witness = bfs_subword_relation(rec.monoid)
+        assert subword_relation(rec.monoid).pairs == pairs
         claimed = list(witness)
         if sample:
             claimed = rng.sample(claimed, min(15, len(claimed))) + claimed[-1:]
         for pair in claimed:
-            wit = subword_witness(rec.morphism, pair)
+            wit = subword_witness(rec.monoid, pair)
             assert (wit.word, wit.positions) == witness[pair]
 
 
@@ -490,12 +491,15 @@ def test_a_pair_failing_on_both_sides_is_searched_for_once(monkeypatch):
     searched = []
     search = monoids._least_witness
 
-    def counted(morphism, pair):
+    def counted(monoid, pair):
         searched.append(pair)
-        return search(morphism, pair)
+        return search(monoid, pair)
 
     monkeypatch.setattr(monoids, "_least_witness", counted)
-    report = classify_recognition(_rec("(a(ac*b+c)*b+c)*", ABC))
+    rec = _rec("(a(ac*b+c)*b+c)*", ABC)
+    report = classify_recognition(rec)
+    # both sides read one record, and with it one witness cache
+    assert rec.complemented().monoid is rec.monoid
     sigma2, pi2 = report.sigma2, report.pi2
     assert (sigma2.x, sigma2.y) == (pi2.x, pi2.y) == (4, 1)
     assert searched == [(4, 1)]
@@ -527,8 +531,8 @@ def test_j_classes_are_the_equal_ideals_numbered_top_down():
     recs = [_rec("(ac*b+c)*", ABC), recognize(_full_transformation_dfa(3))]
     for rec in recs + _minimized_random_recognitions(21, 150, 80):
         m = rec.monoid
-        j_class = rec.morphism.j_class
-        ideals = two_sided_ideals(composition_table(rec.morphism.action))
+        j_class = rec.monoid.j_class
+        ideals = two_sided_ideals(composition_table(rec.monoid.action))
         assert j_class[m.identity] == 0
         for s in range(m.size):
             for t in ideals[s]:
@@ -545,9 +549,9 @@ def test_class_level_relation_and_check_match_the_element_scans():
     # from the scan of every idempotent, on both sides of each language
     shared = {True: 0, False: 0}  # sides with two idempotents in one J-class, by verdict
     for rec in _minimized_random_recognitions(14, 400, 200):
-        sw = subword_relation(rec.morphism)
-        assert sw == worklist_subword_relation(rec.morphism)
-        j_class = rec.morphism.j_class
+        sw = subword_relation(rec.monoid)
+        assert sw == worklist_subword_relation(rec.monoid)
+        j_class = rec.monoid.j_class
         idempotent_classes = [j_class[e] for e in rec.monoid.idempotents()]
         two_in_one = len(set(idempotent_classes)) < len(idempotent_classes)
         for side in (rec, rec.complemented()):
@@ -565,7 +569,7 @@ def test_the_order_on_the_image_of_an_idempotent_matches_the_definitional_query(
     randoms = [rec for _, rec in _random_minimal_recognitions(6, 40, 5, 100)]
     verdicts = set()
     for rec in ladder + randoms:
-        m, action = rec.monoid, rec.morphism.action
+        m, action = rec.monoid, rec.monoid.action
         for side in (rec, rec.complemented()):
             for x in m.idempotents():
                 fixed = set(action[x])
@@ -583,18 +587,18 @@ def test_the_order_on_the_image_of_an_idempotent_matches_the_definitional_query(
 
 def test_trivial_monoid_passes():
     rec = _rec("(a+b)*", AB)
-    assert check_sigma2(rec, subword_relation(rec.morphism)) is None
+    assert check_sigma2(rec, subword_relation(rec.monoid)) is None
 
 
 def test_contains_a_passes():
     rec = _rec("(a+b)*a(a+b)*", AB)
-    assert check_sigma2(rec, subword_relation(rec.morphism)) is None
+    assert check_sigma2(rec, subword_relation(rec.monoid)) is None
 
 
 def test_block_language_fails_with_frozen_witness(k_rec, k_sw):
     w = check_sigma2(k_rec, k_sw)
     assert w is not None
-    h = k_rec.morphism
+    h = k_rec.monoid
     assert w.x == h.eval("ab")
     assert w.y == h.eval("a")
     assert w.context == (0, 0)
@@ -676,7 +680,7 @@ def test_delta2_is_membership_in_da(k_dfa):
 def test_classify_pi2_is_sigma2_of_complement(k_dfa):
     report = classify(k_dfa)
     co = recognize(complement(k_dfa))
-    assert (report.pi2 is None) == (check_sigma2(co, subword_relation(co.morphism)) is None)
+    assert (report.pi2 is None) == (check_sigma2(co, subword_relation(co.monoid)) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +696,7 @@ def test_content_form_oracle_agrees_with_the_equation_check():
         rec for _, rec in _random_minimal_recognitions(12, 40, 5, 100)
     ]
     for rec in recs:
-        sw = subword_relation(rec.morphism)
+        sw = subword_relation(rec.monoid)
         for side in (rec, rec.complemented()):
             assert content_sigma2(side.dfa) == (check_sigma2(side, sw) is None), side.dfa
 
@@ -751,7 +755,7 @@ def test_neutral_letters_even_length():
 
 
 def test_up_word_reflexive(k_rec):
-    h = k_rec.morphism
+    h = k_rec.monoid
     x = h.eval("ab")
     assert up_word_accepts(k_rec, x, (x,))
 
@@ -762,7 +766,7 @@ def test_up_word_empty_word_identity(k_rec):
 
 def test_up_word_contains_a_examples():
     rec = _rec("(a+b)*a(a+b)*", AB)
-    one, z = rec.monoid.identity, rec.morphism.image("a")
+    one, z = rec.monoid.identity, rec.monoid.image("a")
     assert not up_word_accepts(rec, z, (one, one))
     assert up_word_accepts(rec, z, (one, z, one))
 
@@ -772,6 +776,6 @@ def test_up_word_contains_a_examples():
 
 
 def test_monoid_json_rejects_broken_table(k_rec):
-    broken = [list(row) for row in composition_table(k_rec.morphism.action)]
+    broken = [list(row) for row in composition_table(k_rec.monoid.action)]
     broken[0][0] = 5  # identity law now fails
     assert monoid_law_failure(broken, k_rec.monoid.identity) == "identity law fails"

@@ -61,7 +61,7 @@ def test_expansion_of_bad_word_leaves_language(k_lang):
 
 
 def test_factorize_interior_positions(k_rec):
-    h = k_rec.morphism
+    h = k_rec.monoid
     fact = factorize_subword_witness(h, "abab", (2, 3))
     assert fact == Factorization(xs=(1, 0, 2), ys=(2, 1, 0))
     m = k_rec.monoid
@@ -74,22 +74,22 @@ def test_factorize_interior_positions(k_rec):
 
 
 def test_factorize_single_position(k_rec):
-    fact = factorize_subword_witness(k_rec.morphism, "ab", (1,))
+    fact = factorize_subword_witness(k_rec.monoid, "ab", (1,))
     assert fact == Factorization(xs=(0, 2), ys=(1, 0))
 
 
 def test_factorize_empty_positions(k_rec):
-    fact = factorize_subword_witness(k_rec.morphism, "ab", ())
+    fact = factorize_subword_witness(k_rec.monoid, "ab", ())
     assert fact == Factorization(xs=(4,), ys=(0,))
 
 
 def test_factorize_all_positions(k_rec):
-    fact = factorize_subword_witness(k_rec.morphism, "ab", (1, 2))
+    fact = factorize_subword_witness(k_rec.monoid, "ab", (1, 2))
     assert fact == Factorization(xs=(0, 0), ys=(1, 2))
 
 
 def test_factorize_position_guards(k_rec):
-    h = k_rec.morphism
+    h = k_rec.monoid
     for bad in [(2, 1), (0,), (3,), (1, 1)]:
         with pytest.raises(PreconditionError):
             factorize_subword_witness(h, "ab", bad)
@@ -97,7 +97,7 @@ def test_factorize_position_guards(k_rec):
 
 def test_factorize_matches_subword_relation(k_rec, k_sw):
     # every recorded witness factorizes back to its own pair
-    h = k_rec.morphism
+    h = k_rec.monoid
     m = k_rec.monoid
     for x, y in sorted(k_sw.pairs):
         wit = subword_witness(h, (x, y))
@@ -116,7 +116,7 @@ def test_factorize_matches_subword_relation(k_rec, k_sw):
 @pytest.fixture(scope="module")
 def fact_ab(k_rec):
     # x = h(ab), y = h(a); the equation x <= x y x fails for K on this pair
-    return factorize_subword_witness(k_rec.morphism, "ab", (1,))
+    return factorize_subword_witness(k_rec.monoid, "ab", (1,))
 
 
 def test_build_x_i_layout(fact_ab):
@@ -134,7 +134,7 @@ def test_build_x_i_slot_guard(fact_ab):
 
 def test_every_slot_evaluates_to_x(k_rec, fact_ab):
     m = k_rec.monoid
-    x = k_rec.morphism.eval("ab")
+    x = k_rec.monoid.eval("ab")
     for r in (2, 3, 4):
         for i in range(1, r + 1):
             assert m.product(build_x_i(fact_ab, r, i)) == x
@@ -142,7 +142,7 @@ def test_every_slot_evaluates_to_x(k_rec, fact_ab):
 
 def test_build_y_evaluates_to_y(k_rec, fact_ab):
     m = k_rec.monoid
-    y = k_rec.morphism.eval("a")
+    y = k_rec.monoid.eval("a")
     for r in (2, 3):
         w = build_y(fact_ab, r)
         assert len(w) == len(fact_ab.xs) * (r + 1)
@@ -157,7 +157,7 @@ def test_delete_x_letters_reaches_build_y(fact_ab):
 
 def test_t_good_evaluates_to_x(k_rec, fact_ab):
     m = k_rec.monoid
-    x = k_rec.morphism.eval("ab")
+    x = k_rec.monoid.eval("ab")
     for packed in [pack(w) for w in enumerate_good(9)]:
         word = t_good(fact_ab, 3, packed)
         assert len(word) == 5 * len(fact_ab.xs) * 4
@@ -166,8 +166,8 @@ def test_t_good_evaluates_to_x(k_rec, fact_ab):
 
 def test_t_bad_evaluates_to_xyx(k_rec, fact_ab):
     m = k_rec.monoid
-    x = k_rec.morphism.eval("ab")
-    y = k_rec.morphism.eval("a")
+    x = k_rec.monoid.eval("ab")
+    y = k_rec.monoid.eval("a")
     xyx = m.mul(m.mul(x, y), x)
     assert xyx != x  # this is what makes the pair worth wiring
     for packed in [pack(w) for w in enumerate_bad(9)]:
@@ -208,8 +208,8 @@ def test_wiring_rejects_foreign_letters(fact_ab):
 
 def test_wiring_two_block_words(k_rec, fact_ab):
     m = k_rec.monoid
-    x = k_rec.morphism.eval("ab")
-    y = k_rec.morphism.eval("a")
+    x = k_rec.monoid.eval("ab")
+    y = k_rec.monoid.eval("a")
     assert m.product(wiring(fact_ab, "abba")) == x
     assert m.product(wiring(fact_ab, "abbb")) == m.mul(m.mul(x, y), x)
 
