@@ -63,7 +63,7 @@ from .monoids import (
     subword_relation,
 )
 from .reductions import expansion, factorize_subword_witness, p_annotate, wiring
-from .reports import class_report_to_dict, render_lines, to_json
+from .reports import class_report_to_dict, render_lines, to_json, verification
 
 GOOD_BLOCK_LANGUAGE = "(ac*b+c)*"
 
@@ -229,16 +229,15 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
     n, words = _parse_family(n, family, len(u))
     ce = k_limit_counterexample(u, words, k)
     if ce is None:
-        verification = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
+        checks = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
     else:
-        verification = {"no_member_matches": not any(agree_on(u, w, ce) for w in words)}
-    verification["passed"] = all(verification.values())
+        checks = {"no_member_matches": not any(agree_on(u, w, ce) for w in words)}
     _emit(
         {
             "input": {"u": u, "n": n, "k": k, "family": family, "family_size": len(words)},
             "verdict": ce is None,
             "witness": None if ce is None else {"unmatched_positions": sorted(ce)},
-            "verification": verification,
+            "verification": verification(checks),
         },
         as_json,
     )
@@ -269,14 +268,14 @@ def flower(
     }
     if fl is None:
         payload["witness"] = None
-        payload["verification"] = {"passed": True}
+        payload["verification"] = verification({})
     else:
         payload["witness"] = {
             "core": sorted(fl.core),
             "petals": [sorted(petal) for petal in fl.petals],
         }
         ok = verify_flower(fl, sets, p)
-        payload["verification"] = {"flower_property": ok, "passed": ok}
+        payload["verification"] = verification({"flower_property": ok})
     _emit(payload, as_json)
 
 
@@ -307,7 +306,7 @@ def tangled(
             "within_bound": len(enc.codes) <= enc.bound,
         }
         payload["witness"] = None
-        payload["verification"] = {**checks, "bound": enc.bound, "passed": all(checks.values())}
+        payload["verification"] = verification(checks, bound=enc.bound)
     else:
         limit = result.limit
         payload["witness"] = {
@@ -319,8 +318,7 @@ def tangled(
             "not_good": not is_good(limit.word),
             "k_limit": _recheck_k_limit(limit.word, words, k),
         }
-        checks["passed"] = all(checks.values())
-        payload["verification"] = checks
+        payload["verification"] = verification(checks)
     _emit(payload, as_json)
 
 
@@ -356,7 +354,7 @@ def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:
                 "emptied_block": result.limit.block,
             }
         # dichotomy_suite has already re-verified whichever side applies
-        entry["verification"] = {"passed": True}
+        entry["verification"] = verification({})
         results.append(entry)
     _emit(
         {
@@ -538,8 +536,7 @@ def adversary_cmd(
             "outside_language": not is_good(result.word),
             "k_limit": _recheck_k_limit(result.word, gate_family, k),
         }
-        checks["passed"] = all(checks.values())
-        payload["verification"] = checks
+        payload["verification"] = verification(checks)
     _emit(payload, as_json)
 
 

@@ -211,10 +211,6 @@ class TangledReport:
     witness: tuple[Packed, int] | None
     certificates: dict = field(hash=False, repr=False, default_factory=dict)
 
-    @property
-    def members(self) -> tuple[Packed, ...]:
-        return self.index.members
-
 
 def is_tangled(family, k: int) -> TangledReport:
     """Decide tangledness; the witness on failure is the lex-first (nu, i).
@@ -520,7 +516,7 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     """
     family = list(family)  # read twice: packed, then probed
     report = is_tangled(family, k)
-    size = len(report.members)
+    size = len(report.index.members)
     if report.witness is None:
         return DichotomyResult(family_size=size, encoding=_encoding(report))
     limit = _limit(report, family)

@@ -4,12 +4,12 @@ The transition monoid of a minimal DFA is the image of its letters, so
 one record, TransitionMonoid, is both the monoid and the morphism onto
 it (Froidure & Pin, Algorithms for computing finite semigroups, 1997).
 A breadth-first closure from the identity, element 0, finds each element
-with its state map and a shortest representative word (ties broken
-lexicographically by the alphabet order). The closure is the right
-Cayley graph, and no table of all products is built: s t walks the
-letters of t's representative from s along that graph. The left Cayley
-graph is read off the right one with no composition, and the J-classes
-off both.
+with its state map. The closure is the right Cayley graph, off which a
+letter's image and an element's shortest representative word (ties
+broken lexicographically by the alphabet order) are read, and no table
+of all products is built: s t walks the letters of t's representative
+from s along that graph. The left Cayley graph is read off the right one
+with no composition, and the J-classes off both.
 The syntactic order is "more accepting is larger": s <= t when every
 context accepting s accepts t. syntactic_order answers each query from
 the states ordered by inclusion of their residuals, s <= t iff
@@ -60,17 +60,16 @@ _NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize f
 class TransitionMonoid:
     """The transition monoid of a minimal DFA, as the image of its letters.
 
-    right[a][s] is s times letter a. Element 0 is the identity; any other
-    s is letter first[s] times element suffix[s], its representative
-    split after the first letter, so s t walks t's letters from s.
+    right[a][s] is s times letter a, and a letter's image is right[a][0].
+    Element 0 is the identity; any other s is letter first[s] times
+    element suffix[s], its representative split after the first letter,
+    so s t walks t's letters from s and word(s) spells them.
     """
 
     alphabet: tuple[str, ...]
     right: tuple[tuple[int, ...], ...]
     first: tuple[int, ...]
     suffix: tuple[int, ...]
-    generator: dict[str, int] = field(hash=False)  # each letter's image
-    representative: tuple[Word, ...]  # shortest word per element, lex-minimal
     action: tuple[tuple[int, ...], ...]  # action[e][q]: the state e sends q to
     j_class: tuple[int, ...]  # j_class[e]: e's J-class, numbered from the top down
     # state_order[q]: bit r set iff q's residual lies in r's; the language's
@@ -112,9 +111,17 @@ class TransitionMonoid:
 
     def image(self, sym: str) -> int:
         try:
-            return self.generator[sym]
-        except KeyError:
+            return self.right[self.alphabet.index(sym)][0]
+        except ValueError:
             raise UnknownSymbolError(f"symbol {sym!r} not in alphabet") from None
+
+    def word(self, s: int) -> Word:
+        """s's shortest word, lex-least; without its first letter, it is suffix[s]'s."""
+        letters = []
+        while s:
+            letters.append(self.alphabet[self.first[s]])
+            s = self.suffix[s]
+        return tuple(letters)
 
     def eval(self, w: str | Sequence[str]) -> int:
         return self.product(map(self.image, as_word(w, self.alphabet)))
@@ -150,7 +157,6 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMo
     gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
     index = {tuple(range(n)): 0}
     elements = list(index)
-    words: list[Word] = [()]
     right: list[list[int]] = [[] for _ in gens]  # right[a][s]: s a
     first, suffix = [-1], [0]  # s = (letter first[s]) (element suffix[s])
     prefix, last = [0], [-1]  # s = (element prefix[s]) (letter last[s])
@@ -165,7 +171,6 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMo
                 if t >= max_size:
                     raise MonoidSizeError(too_many)
                 elements.append(composed)
-                words.append(words[s] + (d.alphabet[a],))
                 first.append(first[s] if s else a)
                 suffix.append(right[a][suffix[s]] if s else 0)
                 prefix.append(s)
@@ -193,8 +198,6 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMo
         right=tuple(map(tuple, right)),
         first=tuple(first),
         suffix=tuple(suffix),
-        generator={sym: right[a][0] for a, sym in enumerate(d.alphabet)},
-        representative=tuple(words),
         action=tuple(elements),
         j_class=_j_classes(len(elements), right + left),
         state_order=tuple(up),
@@ -452,9 +455,9 @@ def check_sigma2(rec: Recognition, sw: SubwordRelation) -> EquationWitness | Non
                     f"the order denies x <= xyx for x={x}, y={y}, "
                     "but no context separates x from xyx"
                 )
-            (p, q), rep = context, monoid.representative
+            (p, q), word = context, monoid.word
             pair = subword_witness(monoid, (x, y))
-            return EquationWitness(x, y, (p, q), rep[x], rep[y], rep[p], rep[q], pair)
+            return EquationWitness(x, y, (p, q), word(x), word(y), word(p), word(q), pair)
         passed.add(monoid.j_class[x])
     return None
 

@@ -3,7 +3,8 @@
 Verdicts leave this package as plain dictionaries so that the JSON a
 command prints and the structure a test inspects are the same object.
 Witnesses are self-verifying: they carry enough words to re-run both
-memberships on the DFA, with no monoid machinery in the loop.
+memberships on the DFA, with no monoid machinery in the loop. Every
+verification block, a replay's or a command's, is built by verification.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
         "pair_witness_valid": verify_subword_witness(m, (w.x, w.y), w.pair_witness),
         "memberships_separate": inner_in and not outer_in,
     }
-    checks["passed"] = all(checks.values())
-    return checks
+    return verification(checks)
+
+
+def verification(checks: dict, **shown) -> dict:
+    """The named checks, the values shown beside them, and passed: every check holds."""
+    return {**checks, **shown, "passed": all(checks.values())}
 
 
 def verdict_to_dict(rec: Recognition, witness: EquationWitness | None) -> dict:
@@ -130,23 +135,19 @@ def render_lines(payload, prefix: str = "") -> list[str]:
     This renders the same dictionary the JSON mode prints; there is no
     second vocabulary to drift out of sync.
     """
-    lines: list[str] = []
     if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{prefix}{key}:")
-                lines.extend(render_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}{key}: {_flat(value)}")
+        labelled = [(f"{key}:", value) for key, value in payload.items()]
     elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{prefix}-")
-                lines.extend(render_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {_flat(value)}")
+        labelled = [("-", value) for value in payload]
     else:
-        lines.append(f"{prefix}{_flat(payload)}")
+        return [f"{prefix}{_flat(payload)}"]
+    lines: list[str] = []
+    for label, value in labelled:
+        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+            lines.append(f"{prefix}{label}")
+            lines.extend(render_lines(value, prefix + "  "))
+        else:
+            lines.append(f"{prefix}{label} {_flat(value)}")
     return lines
 
 

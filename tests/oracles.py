@@ -335,18 +335,9 @@ def moore_state_count(d) -> int:
         block = new_block
 
 
-def bfs_transition_monoid(d, max_size):
-    """The transition monoid, every product composed and hashed.
-
-    The same breadth-first closure as the package, but the right Cayley
-    graph and each element's first-letter split are read off the M^2
-    cells of composition_table, not recorded as the closure runs.
-    Minimality is checked by Moore refinement first, so NotMinimalError
-    wins over MonoidSizeError.
-    """
+def bfs_closure(d, max_size):
+    """The state maps breadth-first from the identity, and the word first reaching each."""
     n = d.n_states
-    if moore_state_count(d) != n:
-        raise NotMinimalError("not minimal")
     if max_size < 1:  # the identity is an element too
         raise MonoidSizeError(f"more than {max_size} elements")
     identity = tuple(range(n))
@@ -365,8 +356,27 @@ def bfs_transition_monoid(d, max_size):
                 index[composed] = len(elements)
                 elements.append(composed)
                 words.append(words[i] + (sym,))
+    return elements, words
+
+
+def bfs_transition_monoid(d, max_size):
+    """The transition monoid, every product composed and hashed.
+
+    The same breadth-first closure as the package, but the right Cayley
+    graph and each element's first-letter split are read off the M^2
+    cells of composition_table, not recorded as the closure runs. The
+    closure's words and each letter's image, which the package reads off
+    its graph, are returned beside the record as the closure found them.
+    Minimality is checked by Moore refinement first, so NotMinimalError
+    wins over MonoidSizeError.
+    """
+    if moore_state_count(d) != d.n_states:
+        raise NotMinimalError("not minimal")
+    elements, words = bfs_closure(d, max_size)
     table = composition_table(elements)
-    generator = {sym: index[gens[sym]] for sym in d.alphabet}
+    index = {image: e for e, image in enumerate(elements)}
+    letters = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
+    generator = {sym: index[image] for sym, image in zip(d.alphabet, letters)}
     suffix = [0] * len(elements)  # the element of a representative without its first letter
     for e, word in enumerate(words):
         for sym in word[1:]:
@@ -376,12 +386,10 @@ def bfs_transition_monoid(d, max_size):
         right=tuple(tuple(row[generator[sym]] for row in table) for sym in d.alphabet),
         first=tuple(d.alphabet.index(word[0]) if word else -1 for word in words),
         suffix=tuple(suffix),
-        generator=generator,
-        representative=tuple(words),
         action=tuple(elements),
         j_class=j_classes_by_ideals(table),
         state_order=residual_inclusion(d),
-    )
+    ), tuple(words), generator
 
 
 def composition_table(action) -> tuple[tuple[int, ...], ...]:
@@ -511,7 +519,7 @@ def worklist_subword_relation(monoid) -> SubwordRelation:
     to x since it was last processed are pushed on.
     """
     table = composition_table(monoid.action)
-    gens = set(monoid.generator.values())
+    gens = {column[0] for column in monoid.right}  # each letter's image
     one = monoid.identity
     companions = [0] * monoid.size
     companions[one] = 1 << one
@@ -536,11 +544,11 @@ def scan_check_sigma2(rec, sw) -> EquationWitness | None:
     """The sigma2 equation checked at every idempotent, with no J-classes.
 
     Idempotents and companions in index order; the first failure comes
-    with the first separating context and the package's pair witness,
-    and None means the equation holds.
+    with the first separating context, the oracle closure's words and the
+    package's pair witness, and None means the equation holds.
     """
     table, acc = composition_table(rec.monoid.action), accepted_elements(rec)
-    rep, size = rec.monoid.representative, len(table)
+    rep, size = bfs_closure(rec.dfa, len(table))[1], len(table)
     for x in (e for e in range(size) if table[e][e] == e):
         for y in range(size):
             if not sw.companions[x] >> y & 1:

@@ -666,3 +666,32 @@ def test_every_recorded_command_prints_its_recorded_bytes(runner):
         if got != (want["exit"], want["sha256"]):
             differ.append(key)
     assert differ == [], f"commands whose exit code or stdout changed: {differ}"
+
+
+# the line-mode stdout of one command per verdict shape, which the
+# recorded commands above (all --json) leave unpinned
+LINE_MODE_SHA256 = {
+    "lab klimit --u abbb --k 1": "4d386c6975b4b63e162c42e2e1c462de6808f6a17b9563faa0f742640ac6adbd",
+    "lab klimit --u baba --family abab --k 1": "3318de5b27d2778cf5916c3dd7b76cd275faa296f5dc9ec75384e69b5b3ebde2",
+    "lab flower --n 9 -p 2": "f58239b44c3e3c453ddf502b67e69616322c476859b0242c8bea8fb315cbe8fc",
+    "lab flower --n 4 -p 3 --family abab": "20927ca4dab564d9da9e890338d908e2221744792a292eb7a24712f94cfdeaf0",
+    "lab tangled --n 9 --k 1 --family 1,1,1;2,2,2;3,3,3": "c12494306c9d6399ac038d11f64ba2e07c018adc12748ede6db11fb147e7c2ef",
+    "lab tangled --n 9 --k 1": "c703423c7c23f29b3dcad06ad262ddb308d8d8ae40ac4bb697888bee0c68719d",
+    "lab dichotomy --n 9 --k 1 --samples 4 --seed 4": "ab75b0ffb5a3d488c4848deb893f5b11bb631a6b373e3dc5425bad690181964a",
+    "reduce expand --word abbbabbba": "289241b9639428c6cea91520d2554651d29711091679c8439a29ddee247e8f57",
+    "reduce wire --word abbbabbba": "383f8f4ce68ddb3ff252388246d9df2c34ce39f1901c25165fd0cd86373983f8",
+    "reduce wire --word abab --lang (a+b)* --alphabet ab": "a49abcc0978bb1fe5f262b5077f1079dcd070814f2505a260dde024ffb9cfead",
+    "reduce annotate --word abbab --moduli 2,3": "9c63a92520d42d9354e60d8835d6ce93d3bd34b80e36700f35eee760088b2e97",
+    "circuit eval --word abbbabbba --fixture block-selector": "94b289f9a885e76b3a4ce17681b25a6df65dd6c1de0c7e5564a8e31297f62ff8",
+    "circuit adversary --fixture block-selector": "8f79e97f824d9d88063bd4b041571ea701a526c199854265c5f0a88899d0e9a0",
+    "circuit adversary --fixture exact-good": "782da6ebba6ca3681fb0ad427f87087dfdb3568bbe417f26cecedc1087d3a6f5",
+    "analyze (ac*b+c)* --alphabet abc": "173c4704f911ffab23d510903fc6cc278791fb6c4af65867bb9efa03e798feca",
+    "analyze (a(ac*b+c)*b+c)* --alphabet abc": "683f41503cdfc503ff4628fe77bf4dc84bc51f346adac1e629e1643acd299f2c",
+}
+
+
+@pytest.mark.parametrize("command", LINE_MODE_SHA256)
+def test_line_mode_prints_its_recorded_bytes(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == LINE_MODE_SHA256[command]

@@ -125,7 +125,7 @@ def test_find_entailment_none_on_good_family():
 def test_good4_not_tangled():
     report = is_tangled(GOOD4, 1)
     assert report.witness == ((1, 1), 1)
-    assert len(report.members) == 4
+    assert len(report.index.members) == 4
     assert report.index.r == 2
 
 
@@ -150,7 +150,7 @@ def test_singleton_family_tangled():
 def test_diagonal9_tangled():
     report = is_tangled(DIAG9, 1)
     assert report.witness is None
-    assert len(report.members) == 3
+    assert len(report.index.members) == 3
 
 
 def test_tangled_guards(monkeypatch):

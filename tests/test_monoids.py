@@ -42,6 +42,7 @@ from sigma2lab.errors import (
 from sigma2lab.languages import Dfa, accepts, compile_pattern, minimize
 from sigma2lab.monoids import (
     SubwordRelation,
+    TransitionMonoid,
     check_sigma2,
     classify,
     classify_recognition,
@@ -134,7 +135,8 @@ def test_contains_a_monoid():
 def test_block_language_monoid_frozen(k_rec):
     m = k_rec.monoid
     assert m.size == 6
-    assert m.representative == ((), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"))
+    words = tuple(map(m.word, range(m.size)))
+    assert words == ((), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"))
     assert accepted_elements(k_rec) == frozenset({0, 4})
     assert sorted(m.idempotents()) == [0, 3, 4, 5]
     assert m.image("c") == m.identity
@@ -212,14 +214,23 @@ def test_morphism_eval_and_unknown_symbol(k_rec):
     h = k_rec.monoid
     assert h.eval("abab") == h.eval("ab")
     assert h.eval("") == k_rec.monoid.identity
-    with pytest.raises(UnknownSymbolError):
+    with pytest.raises(UnknownSymbolError, match="symbol 'x' not in alphabet"):
         h.eval("xy")
 
 
+def _read_off(d, max_size):
+    """The package's monoid, with the words and images it reads off its graph."""
+    m = transition_monoid(d, max_size)
+    return m, tuple(map(m.word, range(m.size))), {sym: m.image(sym) for sym in m.alphabet}
+
+
 def _monoid_or_error(build, d, max_size):
-    """The builder's result as comparable fields, or its error's class."""
+    """The builder's result as comparable fields, or its error's class.
+
+    build returns the record, each element's word and each letter's image.
+    """
     try:
-        h = build(d, max_size)
+        h, words, images = build(d, max_size)
     except (MonoidSizeError, NotMinimalError) as err:
         return type(err)
     return {
@@ -227,8 +238,8 @@ def _monoid_or_error(build, d, max_size):
         "first": h.first,
         "suffix": h.suffix,
         "table": composition_table(h.action),
-        "generator": h.generator,
-        "representative": h.representative,
+        "images": images,
+        "words": words,
         "action": h.action,
         "state_order": h.state_order,
     }
@@ -258,14 +269,14 @@ def test_table_matches_composition_oracle():
         dfas += [d, minimize(d)]
     kinds = set()
     for d in dfas:
-        got = _monoid_or_error(transition_monoid, d, 120)
+        got = _monoid_or_error(_read_off, d, 120)
         assert got == _monoid_or_error(bfs_transition_monoid, d, 120), d
         kinds.add(got if isinstance(got, type) else "monoid")
         if isinstance(got, dict):
             m, table = transition_monoid(d, 120), got["table"]
             assert all(m.mul(s, t) == table[s][t] for s in range(m.size) for t in range(m.size))
             size = m.size
-            for build in (transition_monoid, bfs_transition_monoid):
+            for build in (_read_off, bfs_transition_monoid):
                 assert _monoid_or_error(build, d, size) == got
                 assert _monoid_or_error(build, d, size - 1) is MonoidSizeError
     assert kinds == {"monoid", NotMinimalError, MonoidSizeError}
@@ -439,6 +450,20 @@ def test_subwords_of_is_sorted(k_sw):
     for x in range(6):
         ys = k_sw.subwords_of(x)
         assert ys == sorted(ys)
+
+
+def test_monoid_stores_only_its_closure():
+    assert [f.name for f in fields(TransitionMonoid)] == [
+        "alphabet",
+        "right",
+        "first",
+        "suffix",
+        "action",
+        "j_class",
+        "state_order",
+        "_idempotents",
+        "_witnesses",
+    ]
 
 
 def test_relation_stores_only_companions(k_sw):
