@@ -125,11 +125,8 @@ def densest_and_gate(c: Sigma2Circuit, accepted) -> tuple[int, list[str]]:
     gates = sorted(set(c.bottom))
     if not gates:
         raise PreconditionError("circuit has no output AND gates")
-    best_gate, densest = -1, 0
-    for g in gates:
-        if ands[g].bit_count() > densest.bit_count():
-            best_gate, densest = g, ands[g]
-    best = members_of(densest, words)
+    best_gate = max(gates, key=lambda g: (ands[g].bit_count(), -g))
+    best = members_of(ands[best_gate], words)
     if len(best) * len(gates) < len(words):
         raise VerificationError("densest gate fell below the pigeonhole share")
     return best_gate, best

@@ -213,9 +213,6 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
 
 @lab.command()
 @click.option("--u", "u", required=True, help="the candidate limit word")
-@click.option(
-    "--n", type=int, default=None, help="length of the good family; defaults to |u|"
-)
 @click.option("--k", "-k", "k", type=int, required=True)
 @click.option(
     "--family",
@@ -224,9 +221,9 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
     help="good, packed members joined by ';', or words joined by ','",
 )
 @json_option
-def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
-    """Check whether a word is a k-limit of a family."""
-    n, words = _parse_family(n, family, len(u))
+def klimit(u: str, k: int, family: str, as_json: bool) -> None:
+    """Check whether a word is a k-limit of a family of words as long as u."""
+    words = _parse_family(None, family, len(u))[1]
     ce = k_limit_counterexample(u, words, k)
     if ce is None:
         checks = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
@@ -234,7 +231,7 @@ def klimit(u: str, n: int | None, k: int, family: str, as_json: bool) -> None:
         checks = {"no_member_matches": not any(agree_on(u, w, ce) for w in words)}
     _emit(
         {
-            "input": {"u": u, "n": n, "k": k, "family": family, "family_size": len(words)},
+            "input": {"u": u, "n": len(u), "k": k, "family": family, "family_size": len(words)},
             "verdict": ce is None,
             "witness": None if ce is None else {"unmatched_positions": sorted(ce)},
             "verification": verification(checks),

@@ -42,7 +42,6 @@ from .blockwords import (
     check_block_word,
     is_bad,
     is_k_limit,
-    pack,
     unpack,
 )
 from .errors import (
@@ -215,11 +214,12 @@ class TangledReport:
 def is_tangled(family, k: int) -> TangledReport:
     """Decide tangledness; the witness on failure is the lex-first (nu, i).
 
-    Certificates for every (member, position) examined before the
-    verdict are confirmed with entails and kept for inspection; on a
-    tangled family that is all of them. The report carries the packed
-    family and its index, so either side of the dichotomy can be built
-    from it without packing, indexing or searching again.
+    The certificate for every (member, position) examined before the
+    verdict is confirmed with entails and kept; on a tangled family that
+    is all of them, and they are what encode_member walks. The report
+    carries the packed family and its index, so either side of the
+    dichotomy is built from it without packing, indexing or searching
+    again.
     """
     Phi, r = pack_family(family)
     check_search_budget(r, k)
@@ -255,7 +255,8 @@ def bad_limit_via_entailment(family, k: int) -> EntailmentLimit | None:
     """The bad k-limit a non-tangled family must contain; None if tangled.
 
     The returned word is checked exhaustively against the definition of
-    a limit before it is handed out.
+    a limit, and its packed form against P1 and P2, before it is handed
+    out.
     """
     family = list(family)  # read twice: packed, then probed
     report = is_tangled(family, k)
@@ -263,7 +264,7 @@ def bad_limit_via_entailment(family, k: int) -> EntailmentLimit | None:
 
 
 def _limit(report: TangledReport, family) -> EntailmentLimit:
-    """Empty the witness member's block; the bad word must be a k-limit."""
+    """Empty the witness member's block; the bad word must be a k-limit meeting P1 and P2."""
     nu, i = report.witness
     mu = nu[: i - 1] + (None,) + nu[i:]
     u = unpack(mu)
@@ -271,19 +272,16 @@ def _limit(report: TangledReport, family) -> EntailmentLimit:
         raise VerificationError("emptying one block of a good word must yield a bad word")
     if not is_k_limit(u, family, report.k):
         raise VerificationError("entailment failure did not produce a k-limit")
+    failure = check_packed_limit_conditions(mu, nu, report.index, report.k)
+    if failure is not None:
+        raise VerificationError(f"limit conditions failed on a constructed limit: {failure}")
     return EntailmentLimit(word=u, source=nu, block=i)
-
-
-@dataclass(frozen=True)
-class LimitConditionReport:
-    failed: str  # "P1" or "P2"
-    detail: str
 
 
 def check_packed_limit_conditions(
     mu: Packed, nu: Packed, index: FamilyIndex, k: int
-) -> LimitConditionReport | None:
-    """Which packed-level condition fails, or None when both hold.
+) -> str | None:
+    """The first failing condition, as a message led by its name; None when both hold.
 
     P1: nu belongs to the family and mu is nu with exactly one block emptied.
     P2: for the emptied position i, whenever forbidden contents C (with
@@ -296,19 +294,17 @@ def check_packed_limit_conditions(
     """
     members, r = index.members, index.r
     if not members:
-        return LimitConditionReport("P1", "family is empty")
+        return "P1: family is empty"
     if len(mu) != r or len(nu) != r:
-        return LimitConditionReport("P1", "length mismatch with family")
+        return "P1: length mismatch with family"
     if nu not in members:
-        return LimitConditionReport("P1", "source member is not in the family")
+        return "P1: source member is not in the family"
     diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
     if len(diffs) != 1:
-        return LimitConditionReport(
-            "P1", f"words differ at {len(diffs)} positions, need exactly 1"
-        )
+        return f"P1: words differ at {len(diffs)} positions, need exactly 1"
     i = diffs[0]
     if mu[i - 1] is not None:
-        return LimitConditionReport("P1", "the differing block must be emptied")
+        return "P1: the differing block must be emptied"
 
     nu_i = nu[i - 1]
     other_contents = [c for c in range(1, r + 1) if c != nu_i]
@@ -320,10 +316,9 @@ def check_packed_limit_conditions(
             avoid = index.everyone & ~index.meeting((i, c) for c in C)
             for P in combinations(other_positions, p_size):
                 if not avoid & index.matching((p, nu[p - 1]) for p in P):
-                    return LimitConditionReport(
-                        "P2",
-                        f"no member avoids contents {sorted(C)} at position {i} "
-                        f"while matching the source on {list(P)}",
+                    return (
+                        f"P2: no member avoids contents {sorted(C)} at position {i} "
+                        f"while matching the source on {list(P)}"
                     )
     return None
 
@@ -360,34 +355,38 @@ def _derive(index: FamilyIndex, k: int, specified: dict, content) -> bool:
     return True
 
 
-def encode_member(index: FamilyIndex, k: int, mu: Packed) -> MemberCode:
-    """Compress one member of a tangled family.
+def encode_member(report: TangledReport, mu: Packed) -> MemberCode:
+    """Compress one member of a family the report found tangled.
 
-    A first pass walks the positions, always deriving the smallest one
-    not yet covered from a certificate over the member's full pair set;
-    positions the certificate leans on that are not covered yet become
-    free. Free positions can take at most k/(k+1) of the total, which
-    is where the size bound on tangled families comes from.
+    A first pass walks the member's certificates from is_tangled in
+    position order, skipping positions already covered; so each step
+    derives the smallest uncovered position from a certificate over the
+    member's full pair set, and positions the certificate leans on that
+    are not covered yet become free. Free positions can take at most
+    k/(k+1) of the total, which is where the size bound on tangled
+    families comes from.
 
     A second pass replays the derivation exactly as the decoder will:
     only pairs already specified may be used, and each step records
     which pair of the entailed i-set is the member's own.
     """
+    if report.witness is not None:
+        nu, i = report.witness
+        raise NotTangledError(
+            f"family is not tangled: member {nu} has no certificate at position {i}"
+        )
+    if (mu, 1) not in report.certificates:
+        raise PreconditionError(f"{mu} is not a member of the family")
+    index, k = report.index, report.k
     r = index.r
     free: set[int] = set()
     covered: set[int] = set()
-    full_pairs = _pairs_of(mu)
-    while len(covered) < r:
-        i = min(p for p in range(1, r + 1) if p not in covered)
-        found = find_entailment(index, k, full_pairs, i)
-        if found is None:
-            raise NotTangledError(
-                f"member {mu} has no certificate at position {i}"
-            )
-        S, _ = found
-        fresh = {p for p, _ in S if p not in covered}
-        free |= fresh
-        covered |= fresh | {i}
+    for i in range(1, r + 1):
+        if i not in covered:
+            S, _ = report.certificates[(mu, i)]
+            fresh = {p for p, _ in S if p not in covered}
+            free |= fresh
+            covered |= fresh | {i}
     if len(free) * (k + 1) > k * r:
         raise VerificationError(
             "free positions exceed the k/(k+1) share the walk guarantees"
@@ -461,22 +460,16 @@ def tangled_encoding(family, k: int) -> EncodingReport:
     decodability, and the counting bound are all checked here rather
     than trusted.
     """
-    report = is_tangled(family, k)
-    if report.witness is not None:
-        nu, i = report.witness
-        raise NotTangledError(
-            f"family is not tangled: member {nu} has no certificate at position {i}"
-        )
-    return _encoding(report)
+    return _encoding(is_tangled(family, k))
 
 
 def _encoding(report: TangledReport) -> EncodingReport:
-    """Codes for every member of a family the report found tangled."""
+    """Codes for every member of the family a tangled report covers."""
     index, k = report.index, report.k
     members = index.members
     codes: dict[Packed, MemberCode] = {}
     for mu in members:
-        code = encode_member(index, k, mu)
+        code = encode_member(report, mu)
         back = decode_member(index, k, code)
         if back != mu:
             raise VerificationError(f"decode(encode({mu})) = {back}")
@@ -519,10 +512,4 @@ def dichotomy_suite(family, k: int) -> DichotomyResult:
     size = len(report.index.members)
     if report.witness is None:
         return DichotomyResult(family_size=size, encoding=_encoding(report))
-    limit = _limit(report, family)
-    failure = check_packed_limit_conditions(pack(limit.word), limit.source, report.index, k)
-    if failure is not None:
-        raise VerificationError(
-            f"limit conditions failed on a constructed limit: {failure.detail}"
-        )
-    return DichotomyResult(family_size=size, limit=limit)
+    return DichotomyResult(family_size=size, limit=_limit(report, family))

@@ -140,7 +140,9 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMo
     co-states found after the closure order the states by residual
     inclusion. Before it, NotMinimalError (minimize first) refuses a DFA
     with an unreached state or two equal residuals, ahead of
-    MonoidSizeError beyond max_size elements.
+    MonoidSizeError beyond max_size elements. A minimal DFA with more
+    than max_size states is refused there too, unbuilt: each state is
+    where some element sends the initial state, so M >= n.
     """
     n = d.n_states
     reached, frontier = {d.initial}, [d.initial]
@@ -152,7 +154,7 @@ def transition_monoid(d: Dfa, max_size: int = MONOID_SIZE_LIMIT) -> TransitionMo
     if len(reached) < n or len(set(block_of.values())) < n:
         raise NotMinimalError(_NOT_MINIMAL)
     too_many = f"transition monoid exceeds {max_size} elements"
-    if max_size < 1:  # the identity counts
+    if max_size < n:  # each state q is where some element sends the initial state
         raise MonoidSizeError(too_many)
     gens = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
     index = {tuple(range(n)): 0}

@@ -40,7 +40,6 @@ from itertools import combinations, product
 from math import comb
 
 from sigma2lab.blockwords import K_LIMIT_WORK_LIMIT
-from sigma2lab.entailment import LimitConditionReport
 from sigma2lab.errors import (
     AlphabetMismatchError,
     MalformedPairSetError,
@@ -858,24 +857,22 @@ def scan_find_entailment(Phi, r: int, k: int, available, i: int):
     return None
 
 
-def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport | None:
+def scan_limit_conditions(mu, nu, Phi, k: int) -> str | None:
     """P1 and P2, with every (C, P) probe scanning the members; None if both hold."""
     members = sorted(set(Phi))
     if not members:
-        return LimitConditionReport("P1", "family is empty")
+        return "P1: family is empty"
     r = len(members[0])
     if len(mu) != r or len(nu) != r:
-        return LimitConditionReport("P1", "length mismatch with family")
+        return "P1: length mismatch with family"
     if nu not in members:
-        return LimitConditionReport("P1", "source member is not in the family")
+        return "P1: source member is not in the family"
     diffs = [i for i in range(1, r + 1) if mu[i - 1] != nu[i - 1]]
     if len(diffs) != 1:
-        return LimitConditionReport(
-            "P1", f"words differ at {len(diffs)} positions, need exactly 1"
-        )
+        return f"P1: words differ at {len(diffs)} positions, need exactly 1"
     i = diffs[0]
     if mu[i - 1] is not None:
-        return LimitConditionReport("P1", "the differing block must be emptied")
+        return "P1: the differing block must be emptied"
     nu_i = nu[i - 1]
     other_contents = [c for c in range(1, r + 1) if c != nu_i]
     other_positions = [p for p in range(1, r + 1) if p != i]
@@ -888,10 +885,9 @@ def scan_limit_conditions(mu, nu, Phi, k: int) -> LimitConditionReport | None:
                     lam[i - 1] not in C and all(lam[p - 1] == nu[p - 1] for p in P)
                     for lam in members
                 ):
-                    return LimitConditionReport(
-                        "P2",
-                        f"no member avoids contents {sorted(C)} at position {i} "
-                        f"while matching the source on {list(P)}",
+                    return (
+                        f"P2: no member avoids contents {sorted(C)} at position {i} "
+                        f"while matching the source on {list(P)}"
                     )
     return None
 
@@ -919,10 +915,10 @@ def scan_densest_and_gate(circuit, accepted):
     gates = sorted(set(circuit.bottom))
     if not gates:
         raise PreconditionError("circuit has no output AND gates")
-    best_gate, best = -1, []
-    for g in gates:
+    best_gate, best = gates[0], [w for w in words if naive_and(circuit, gates[0], w)]
+    for g in gates[1:]:
         sat = [w for w in words if naive_and(circuit, g, w)]
-        if len(sat) > len(best):
+        if len(sat) > len(best):  # a tie keeps the lower gate
             best_gate, best = g, sat
     return best_gate, best
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import circuit_to_json, naive_eval
+from oracles import circuit_to_json, naive_eval, scan_densest_and_gate
 from sigma2lab.blockwords import enumerate_good, is_good
 from sigma2lab.circuits import (
     AdversaryResult,
@@ -181,6 +181,11 @@ def test_densest_gate_on_exact_recognizer():
     gate, family = densest_and_gate(c, GOOD9)
     assert gate == 0
     assert family == [GOOD9[0]]
+
+
+def test_densest_gate_of_no_words_is_the_lowest_gate():
+    assert densest_and_gate(demo_block_selector(9), []) == (0, [])
+    assert scan_densest_and_gate(demo_block_selector(9), []) == (0, [])
 
 
 def test_densest_gate_rejects_unaccepted_word():

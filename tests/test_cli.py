@@ -156,10 +156,16 @@ def test_klimit_with_counterexample(runner):
 def test_klimit_packed_family(runner):
     payload = invoke_json(
         runner,
-        ["lab", "klimit", "--u", "bbbbbbbbb", "--n", "9", "--k", "1", "--family", "1,1,1;2,2,2;3,3,3"],
+        ["lab", "klimit", "--u", "bbbbbbbbb", "--k", "1", "--family", "1,1,1;2,2,2;3,3,3"],
     )
     assert payload["input"]["family_size"] == 3
     assert payload["verdict"] is True
+
+
+def test_klimit_takes_its_length_from_u(runner):
+    result = runner.invoke(main, ["lab", "klimit", "--u", "abbb", "--n", "4", "--k", "1"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("usage error: No such option '--n'")
 
 
 def test_klimit_length_mismatch_exits_two(runner):
@@ -332,10 +338,6 @@ def test_lab_reports_the_family_length_as_n(runner, args, n):
             "--n 16 disagrees with the family's length 9",
         ),
         (
-            ["lab", "klimit", "--u", "abbbabbba", "--k", "1", "--family", "1,2,3", "--n", "4"],
-            "--n 4 disagrees with the family's length 9",
-        ),
-        (
             ["lab", "flower", "--n", "9", "-p", "2", "--family", "abab"],
             "--n 9 disagrees with the family's length 4",
         ),
@@ -355,7 +357,6 @@ def test_lab_refuses_an_n_its_family_contradicts(runner, args, message):
 @pytest.mark.parametrize(
     "args",
     [
-        ["lab", "klimit", "--u", "ab", "--n", "-1", "--k", "1"],
         ["lab", "flower", "--n", "-3", "--p", "2"],
         ["lab", "tangled", "--n", "-1", "--k", "1"],
         ["lab", "dichotomy", "--n", "-4", "--k", "1"],

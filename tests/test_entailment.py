@@ -34,6 +34,7 @@ from sigma2lab.errors import (
     PackError,
     PreconditionError,
     SearchBudgetError,
+    VerificationError,
 )
 
 GOOD4 = enumerate_good(4)
@@ -210,30 +211,30 @@ def test_conditions_hold_on_constructed_limit():
 
 def test_conditions_reject_two_empty_blocks():
     phi, r = pack_family(GOOD9)
-    report = check_packed_limit_conditions((None, None, 1), (1, 1, 1), index_family(phi, r), 1)
-    assert report is not None
-    assert report.failed == "P1"
+    failure = check_packed_limit_conditions((None, None, 1), (1, 1, 1), index_family(phi, r), 1)
+    assert failure is not None
+    assert failure.startswith("P1: ")
 
 
 def test_conditions_reject_foreign_source():
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(2, 2, 2)], 3), 1)
-    assert report is not None
-    assert report.failed == "P1"
+    failure = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(2, 2, 2)], 3), 1)
+    assert failure is not None
+    assert failure.startswith("P1: ")
 
 
 def test_conditions_reject_singleton_family():
-    report = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(1, 1, 1)], 3), 1)
-    assert report is not None
-    assert report.failed == "P2"
-    assert "contents [1] at position 1" in report.detail
-    assert "on []" in report.detail
+    failure = check_packed_limit_conditions((None, 1, 1), (1, 1, 1), index_family([(1, 1, 1)], 3), 1)
+    assert failure is not None
+    assert failure.startswith("P2: ")
+    assert "contents [1] at position 1" in failure
+    assert "on []" in failure
 
 
 def test_conditions_reject_unemptied_difference():
     phi, r = pack_family(GOOD9)
-    report = check_packed_limit_conditions((2, 1, 1), (1, 1, 1), index_family(phi, r), 1)
-    assert report is not None
-    assert report.failed == "P1"
+    failure = check_packed_limit_conditions((2, 1, 1), (1, 1, 1), index_family(phi, r), 1)
+    assert failure is not None
+    assert failure.startswith("P1: ")
 
 
 def test_conditions_imply_limit_on_random_triples():
@@ -257,23 +258,28 @@ def test_conditions_imply_limit_on_random_triples():
 
 
 def test_encode_diagonal_member():
-    phi, r = pack_family(DIAG9)
-    code = encode_member(index_family(phi, r), 1, (1, 1, 1))
+    report = is_tangled(DIAG9, 1)
+    code = encode_member(report, (1, 1, 1))
     assert code == MemberCode(free_positions=(2,), free_contents=(1,), digits=(0, 0))
-    assert decode_member(index_family(phi, r), 1, code) == (1, 1, 1)
+    assert decode_member(report.index, 1, code) == (1, 1, 1)
 
 
 def test_encoding_free_share_bound():
-    phi, r = pack_family(DIAG9)
-    for mu in phi:
-        code = encode_member(index_family(phi, r), 1, mu)
-        assert len(code.free_positions) * 2 <= r  # k/(k+1) of r at k=1
+    report = is_tangled(DIAG9, 1)
+    for mu in report.index.members:
+        code = encode_member(report, mu)
+        assert len(code.free_positions) * 2 <= report.index.r  # k/(k+1) of r at k=1
 
 
 def test_encode_requires_tangled():
-    phi, r = pack_family(GOOD4)
     with pytest.raises(NotTangledError):
-        encode_member(index_family(phi, r), 1, (1, 1))
+        encode_member(is_tangled(GOOD4, 1), (1, 1))
+
+
+def test_encode_refuses_a_non_member():
+    report = is_tangled(DIAG9, 1)
+    with pytest.raises(PreconditionError, match="not a member"):
+        encode_member(report, (1, 2, 3))
 
 
 def test_tangled_encoding_two_members():
@@ -292,8 +298,9 @@ def test_tangled_encoding_rejects_untangled():
 
 
 def test_decode_rejects_malformed_codes():
-    index = index_family(*pack_family(DIAG9))
-    good = encode_member(index, 1, (2, 2, 2))
+    report = is_tangled(DIAG9, 1)
+    index = report.index
+    good = encode_member(report, (2, 2, 2))
     with pytest.raises(PackError):
         decode_member(index, 1, MemberCode((2, 1), good.free_contents + (1,), (0, 0)))
     with pytest.raises(PackError):
@@ -363,6 +370,8 @@ def test_dichotomy_random_sample():
         (dichotomy_suite, GOOD9),
         (tangled_encoding, ["abab", "baba"]),
         (bad_limit_via_entailment, GOOD9),
+        (dichotomy_suite, DIAG9),
+        (tangled_encoding, DIAG9),
     ],
 )
 def test_each_entry_point_packs_and_searches_once(monkeypatch, run, family):
@@ -375,5 +384,27 @@ def test_each_entry_point_packs_and_searches_once(monkeypatch, run, family):
             return original(*args)
 
         monkeypatch.setattr(entailment, name, counted)
+    # a search over a member's full pair set, counted per (member, position)
+    full_searches = {}
+    find = entailment.find_entailment
+
+    def find_counted(index, k, available, i):
+        pairs = tuple(sorted(available))
+        if len(pairs) == index.r and tuple(c for _, c in pairs) in index.members:
+            key = (tuple(c for _, c in pairs), i)
+            full_searches[key] = full_searches.get(key, 0) + 1
+        return find(index, k, available, i)
+
+    monkeypatch.setattr(entailment, "find_entailment", find_counted)
     assert run(family, 1) is not None
     assert calls == {"pack_family": 1, "is_tangled": 1}
+    assert full_searches and max(full_searches.values()) == 1, full_searches
+
+
+@pytest.mark.parametrize("run", [bad_limit_via_entailment, dichotomy_suite])
+def test_every_entailment_limit_is_checked_against_p1_and_p2(monkeypatch, run):
+    monkeypatch.setattr(
+        entailment, "check_packed_limit_conditions", lambda mu, nu, index, k: "P2: forced"
+    )
+    with pytest.raises(VerificationError, match="P2: forced"):
+        run(GOOD9, 1)

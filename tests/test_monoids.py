@@ -174,6 +174,22 @@ def test_monoid_size_guard_bounds_the_work_on_a_small_dfa():
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_a_minimal_dfa_with_more_states_than_the_limit_is_refused_unbuilt():
+    # 8192 states: every state is some element's image of the initial
+    # state, so M >= 8192 > 4096 is known before the closure, whose maps
+    # alone would take hundreds of MB
+    d = compile_pattern("(a+b)*a" + "(a+b)" * 12, AB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MonoidSizeError, match="exceeds 4096 elements"):
+            recognize(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n_states == 8192
+    assert peak < 16 * 2**20
+
+
 def test_large_monoid_is_classified_in_little_memory():
     # the reversal: 13 states and M=4095, so a table of all M^2 products
     # would hold 16.8 million entries, well over 100 MB

@@ -12,8 +12,8 @@ The same holds for every public method and property of a class there,
 and for every public field annotated in its body, but only an attribute
 read (x.member) or a dotted string naming it counts: a bare name or a
 dict key such as "member" does not. The scan goes by name, not by class:
-LimitConditionReport.failed counts as read because perfbench/run.py
-reads res.failed of another class.
+TangledReport.k would count as read even if nothing read it, because
+demos/05_circuit_adversary.py reads c.k of a Sigma2Circuit.
 
 No module-level name in src/sigma2lab, defined or imported, private or
 public, shadows a Python builtin.
