@@ -237,20 +237,39 @@ def demo_exact_good(n: int = 9) -> Sigma2Circuit:
 # serialization
 
 
+def _exactly(kind: type, value):
+    """value, if its type is exactly kind: true is no int, and 4.7 or "0" no index."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _indices(value) -> tuple[int, ...]:
+    return tuple(_exactly(int, x) for x in _exactly(list, value))
+
+
 def circuit_from_json(text: str) -> Sigma2Circuit:
-    # literal positions are 1-indexed in the payload, as everywhere else
+    """Read a circuit from JSON, coercing nothing.
+
+    n, k, literal positions (1-indexed, as everywhere else) and gate
+    indices must be JSON integers, letters strings, and the alphabet and
+    every gate list lists; anything else is refused.
+    """
     try:
         payload = json.loads(text)
         return Sigma2Circuit(
-            n=int(payload["n"]),
-            alphabet=tuple(payload["alphabet"]),
+            n=_exactly(int, payload["n"]),
+            alphabet=tuple(_exactly(list, payload["alphabet"])),
             top=tuple(
-                tuple((int(lit["pos"]), str(lit["letter"])) for lit in gate)
-                for gate in payload["top"]
+                tuple(
+                    (_exactly(int, lit["pos"]), _exactly(str, lit["letter"]))
+                    for lit in _exactly(list, gate)
+                )
+                for gate in _exactly(list, payload["top"])
             ),
-            ands=tuple(tuple(int(x) for x in gate) for gate in payload["and"]),
-            bottom=tuple(int(x) for x in payload["bottom"]),
-            k=int(payload["k"]),
+            ands=tuple(_indices(gate) for gate in _exactly(list, payload["and"])),
+            bottom=_indices(payload["bottom"]),
+            k=_exactly(int, payload["k"]),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CircuitStructureError(f"malformed circuit payload: {exc}") from exc

@@ -13,12 +13,17 @@ failed.
 Lab experiments all report through the same frame: the input that was
 run, the verdict, the witness backing it, and a verification block that
 re-checks the witness from scratch.
+
+Each command imports the algebra and lab modules it runs when it runs
+them, so a process loads only its own command's modules: importing this
+module loads none of languages, monoids, entailment, flowers or circuits.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import click
 
@@ -34,18 +39,8 @@ from .blockwords import (
     tau,
     unpack,
 )
-from .circuits import (
-    Sigma2Circuit,
-    adversary,
-    circuit_from_json,
-    demo_accept_all,
-    demo_block_selector,
-    demo_exact_good,
-    eval_and,
-    eval_circuit,
-)
-from .entailment import bad_limit_via_entailment, check_search_budget, dichotomy_suite
 from .errors import (
+    MONOID_SIZE_LIMIT,
     MonoidSizeError,
     RegexSyntaxError,
     SizeGuardError,
@@ -53,24 +48,19 @@ from .errors import (
     UnknownSymbolError,
     VerificationError,
 )
-from .flowers import bad_limit_via_flower, find_flower, verify_flower
-from .languages import accepts, compile_pattern
-from .monoids import (
-    MONOID_SIZE_LIMIT,
-    check_sigma2,
-    classify_recognition,
-    recognize,
-    subword_relation,
-)
 from .reductions import expansion, factorize_subword_witness, p_annotate, wiring
 from .reports import class_report_to_dict, render_lines, to_json, verification
 
+if TYPE_CHECKING:
+    from .circuits import Sigma2Circuit
+
 GOOD_BLOCK_LANGUAGE = "(ac*b+c)*"
 
+# each fixture's builder in circuits, looked up when the fixture is loaded
 FIXTURES = {
-    "block-selector": demo_block_selector,
-    "accept-all": demo_accept_all,
-    "exact-good": demo_exact_good,
+    "block-selector": "demo_block_selector",
+    "accept-all": "demo_accept_all",
+    "exact-good": "demo_exact_good",
 }
 
 json_option = click.option(
@@ -155,6 +145,9 @@ def main() -> None:
 @json_option
 def analyze(regex: str, alphabet: str, monoid_limit: int, as_json: bool) -> None:
     """Classify REGEX within the two-quantifier-block classes."""
+    from .languages import compile_pattern
+    from .monoids import classify_recognition, recognize
+
     rec = recognize(compile_pattern(regex, tuple(alphabet)), max_size=monoid_limit)
     report = classify_recognition(rec, description=regex)
     _emit(class_report_to_dict(rec, report), as_json)
@@ -183,6 +176,8 @@ def _parse_family(
     if family == "good":
         n = default_n if n is None else n
         if k is not None:
+            from .entailment import check_search_budget
+
             check_search_budget(block_count(n), k)
         return n, enumerate_good(n)
     if ";" in family or "_" in family or any(ch.isdigit() for ch in family):
@@ -255,6 +250,8 @@ def flower(
     n: int | None, p: int, family: str, sample: int, seed: int, as_json: bool
 ) -> None:
     """Find a flower among the position sets of a family of good words."""
+    from .flowers import find_flower, verify_flower
+
     n, words = _parse_family(n, family, 9)
     words = _sampled(words, sample, seed)
     sets = [tau(w) for w in words]
@@ -289,6 +286,8 @@ def tangled(
     n: int | None, k: int, family: str, sample: int, seed: int, as_json: bool
 ) -> None:
     """Decide tangledness; each verdict ships with its consequence."""
+    from .entailment import dichotomy_suite
+
     n, words = _parse_family(n, family, 9, k)
     words = _sampled(words, sample, seed)
     result = dichotomy_suite(words, k)
@@ -327,6 +326,8 @@ def tangled(
 @json_option
 def dichotomy(n: int, k: int, samples: int, seed: int, as_json: bool) -> None:
     """Run sampled families through both sides of the dichotomy."""
+    from .entailment import check_search_budget, dichotomy_suite
+
     if samples:  # refused before the family is built
         check_search_budget(block_count(n), k)
     pool = enumerate_good(n)
@@ -377,6 +378,8 @@ def reduce() -> None:
 @json_option
 def expand(word: str, as_json: bool) -> None:
     """Expand a word and test the image against the block language."""
+    from .languages import accepts, compile_pattern
+
     expanded = expansion(word)
     d = compile_pattern(GOOD_BLOCK_LANGUAGE, "abc")
     _emit(
@@ -397,6 +400,9 @@ def expand(word: str, as_json: bool) -> None:
 @json_option
 def wire(word: str, lang: str, alphabet: str, as_json: bool) -> None:
     """Wire a word through the failing equation pair of a language."""
+    from .languages import compile_pattern
+    from .monoids import check_sigma2, recognize, subword_relation
+
     check_block_word(word)
     rec = recognize(compile_pattern(lang, tuple(alphabet)))
     w = check_sigma2(rec, subword_relation(rec.monoid))
@@ -459,6 +465,8 @@ def circuit() -> None:
 
 
 def _load_circuit(fixture: str | None, path: str | None, n: int) -> tuple[str, Sigma2Circuit]:
+    from . import circuits
+
     if (fixture is None) == (path is None):
         raise click.UsageError("give exactly one of --fixture or --circuit")
     if fixture is not None:
@@ -466,9 +474,9 @@ def _load_circuit(fixture: str | None, path: str | None, n: int) -> tuple[str, S
             raise click.UsageError(
                 f"unknown fixture {fixture!r}; choose from {sorted(FIXTURES)}"
             )
-        return fixture, FIXTURES[fixture](n)
+        return fixture, getattr(circuits, FIXTURES[fixture])(n)
     with open(path, "r", encoding="utf-8") as fh:
-        return path, circuit_from_json(fh.read())
+        return path, circuits.circuit_from_json(fh.read())
 
 
 @circuit.command("eval")
@@ -481,6 +489,8 @@ def eval_cmd(
     word: str, fixture: str | None, path: str | None, n: int, as_json: bool
 ) -> None:
     """Evaluate a circuit on a word."""
+    from .circuits import eval_circuit
+
     name, c = _load_circuit(fixture, path, n)
     _emit(
         {
@@ -513,11 +523,14 @@ def adversary_cmd(
     as_json: bool,
 ) -> None:
     """Pit a circuit accepting every good word against a limit oracle."""
+    from .circuits import adversary, eval_and, eval_circuit
+
     name, c = _load_circuit(fixture, path, n)
     words = enumerate_good(c.n)
-    oracle = (
-        bad_limit_via_entailment if oracle_name == "entailment" else bad_limit_via_flower
-    )
+    if oracle_name == "entailment":
+        from .entailment import bad_limit_via_entailment as oracle
+    else:
+        from .flowers import bad_limit_via_flower as oracle
     result = adversary(c, words, k, oracle, lambda u: not is_good(u))
     payload: dict = {
         "input": {"circuit": name, "n": c.n, "k": k, "oracle": oracle_name},

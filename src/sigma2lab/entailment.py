@@ -125,11 +125,14 @@ def index_family(Phi, r: int) -> FamilyIndex:
 
 
 def _checked_pairs(items, r: int | None) -> tuple[Pair, ...]:
-    """Sorted (position, content) pairs of positive integers, within r if given."""
+    """Sorted (position, content) pairs of positive integers, within r if given.
+
+    True is no integer here, though Python counts it as 1.
+    """
     out = []
     for item in items:
         p, c = item
-        if not (isinstance(p, int) and isinstance(c, int) and p >= 1 and c >= 1):
+        if not (type(p) is int and type(c) is int and p >= 1 and c >= 1):
             raise MalformedPairSetError(f"pair {item!r} is not two positive integers")
         if r is not None and (p > r or c > r):
             raise MalformedPairSetError(f"pair {item!r} is out of range for r={r}")

@@ -6,6 +6,10 @@ codes; VerificationError is reserved for claims the library itself
 re-checks and finds violated, which always indicates a bug.
 """
 
+# the default element limit of the MonoidSizeError guard; kept here so the
+# command line can show it without loading the monoids
+MONOID_SIZE_LIMIT = 4096
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""

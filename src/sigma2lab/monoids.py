@@ -40,6 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
+    MONOID_SIZE_LIMIT,
     MonoidSizeError,
     NotMinimalError,
     PreconditionError,
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .languages import Dfa, Word, _hopcroft, as_word, minimize
 
-MONOID_SIZE_LIMIT = 4096
 _NOT_MINIMAL = "transition monoid is syntactic only for minimal DFAs; minimize first"
 
 

@@ -17,15 +17,17 @@ y-word, which is the subword step the wiring leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .blockwords import A, B, blocks
 from .errors import PreconditionError
-from .monoids import TransitionMonoid
+
+if TYPE_CHECKING:
+    from .monoids import TransitionMonoid
 
 SEPARATOR = "b"
 FILLER = "c"
 MARK = "a"
-IDENTITY = TransitionMonoid.identity  # the wired words pad with it
 
 
 def expansion(w: str) -> str:
@@ -74,7 +76,7 @@ def factorize_subword_witness(monoid: TransitionMonoid, word, positions) -> Fact
     trailing = w[prev:]
     if trailing or not pos:
         xs.append(monoid.eval(trailing))
-        ys.append(IDENTITY)
+        ys.append(monoid.identity)
     return Factorization(xs=tuple(xs), ys=tuple(ys))
 
 
@@ -90,12 +92,15 @@ def wiring(fact: Factorization, w: str) -> tuple[int, ...]:
     the first-slot carrier. A good word wires to a product equal to x, a
     bad word to x y x.
     """
+    from .monoids import TransitionMonoid  # the wired words pad with its identity
+
+    one = TransitionMonoid.identity
     split = blocks(w)
     carrier = A + B * (len(split) - 1)
     parts: list[int] = []
     for block in (carrier, *split, carrier):
         for x_j, y_j in zip(fact.xs, fact.ys):
-            parts.extend(x_j if sym == A else IDENTITY for sym in block)
+            parts.extend(x_j if sym == A else one for sym in block)
             parts.append(y_j)
     return tuple(parts)
 

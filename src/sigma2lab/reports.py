@@ -5,21 +5,23 @@ command prints and the structure a test inspects are the same object.
 Witnesses are self-verifying: they carry enough words to re-run both
 memberships on the DFA, with no monoid machinery in the loop. Every
 verification block, a replay's or a command's, is built by verification.
+The algebra modules load only to replay and report a classification, so
+the lab commands, which share the serializer, never load them.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .languages import accepts
-from .monoids import (
-    ClassReport,
-    EquationWitness,
-    Recognition,
-    SubwordWitness,
-    TransitionMonoid,
-    neutral_letters,
-)
+if TYPE_CHECKING:
+    from .monoids import (
+        ClassReport,
+        EquationWitness,
+        Recognition,
+        SubwordWitness,
+        TransitionMonoid,
+    )
 
 
 def _word_str(word: tuple[str, ...]) -> str:
@@ -66,6 +68,8 @@ def replay_equation_witness(rec: Recognition, w: EquationWitness) -> dict:
     claims about the pair are checked against the monoid. A pi2
     witness is replayed on the complemented recognition it was found on.
     """
+    from .languages import accepts
+
     m = rec.monoid
     x, y = m.eval(w.x_word), m.eval(w.y_word)
     inner_in = accepts(rec.dfa, w.p_word + w.x_word + w.q_word)
@@ -102,6 +106,8 @@ def class_report_to_dict(rec: Recognition, report: ClassReport) -> dict:
     The alphabet and the monoid's statistics come from rec, which report
     was made from.
     """
+    from .monoids import neutral_letters
+
     delta2: dict = {"holds": report.delta2}
     if not report.delta2:
         delta2["fails_on"] = [

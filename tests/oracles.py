@@ -58,7 +58,9 @@ from sigma2lab.monoids import (
     TransitionMonoid,
     subword_witness,
 )
-from sigma2lab.reductions import IDENTITY, Factorization
+from sigma2lab.reductions import Factorization
+
+IDENTITY = TransitionMonoid.identity
 
 # ---------------------------------------------------------------------------
 # regex trees, and the pattern text that denotes each
@@ -840,7 +842,7 @@ def scan_find_entailment(Phi, r: int, k: int, available, i: int):
         p, c = item
         if p == i:
             continue
-        if not (isinstance(p, int) and isinstance(c, int) and p >= 1 and c >= 1):
+        if not (type(p) is int and type(c) is int and p >= 1 and c >= 1):
             raise MalformedPairSetError(f"pair {item!r} is not two positive integers")
         if p > r or c > r:
             raise MalformedPairSetError(f"pair {item!r} is out of range for r={r}")

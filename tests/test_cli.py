@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import circuit_to_json
-from sigma2lab import blockwords, cli, monoids
+from sigma2lab import blockwords, cli, entailment, monoids
 from sigma2lab.circuits import demo_accept_all
 from sigma2lab.entailment import DichotomyResult, EncodingReport, MemberCode
 from sigma2lab.cli import main
@@ -231,7 +231,7 @@ def test_tangled_verification_passes_only_on_distinct_codes(runner, monkeypatch)
     code = MemberCode(free_positions=(1,), free_contents=(1,), digits=(0, 0))
     shared = EncodingReport(bound=9, codes={(1, 1, 1): code, (2, 2, 2): code})
     monkeypatch.setattr(
-        cli,
+        entailment,
         "dichotomy_suite",
         lambda words, k: DichotomyResult(family_size=2, encoding=shared),
     )
@@ -625,6 +625,20 @@ def test_errors_exit_with_their_code_and_one_stderr_line(
         assert result.stderr == "usage error: No such option '--bogus'.\n"
     if "-1" in args or "-2" in args:
         assert result.stderr.startswith("usage error: Invalid value for '--sample")
+
+
+def test_a_circuit_file_with_fractional_numbers_exits_two(runner, tmp_path):
+    # int() once read this as n=4, k=1, pos 1, and-gate 0, bottom 0 and exited 0
+    path = tmp_path / "fractional.json"
+    path.write_text(
+        '{"n": 4.7, "k": 1.9, "alphabet": "ab", "top": [[{"pos": true, "letter": "a"}]],'
+        ' "and": [[0.5]], "bottom": ["0"]}',
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, ["circuit", "eval", "--word", "abab", "--circuit", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "invalid input: malformed circuit payload: expected int, got 4.7\n"
 
 
 def test_an_order_with_no_separating_context_exits_4(runner, monkeypatch):

@@ -98,6 +98,15 @@ def test_entails_rejects_malformed_sets():
         entails({(2, 0)}, {(1, 1)}, phi)  # content must be positive
 
 
+@pytest.mark.parametrize("pair", [(True, 1), (2, True), (1.0, 1), (2, "1")])
+def test_a_pair_entry_must_be_an_integer_not_a_bool(pair):
+    # True == 1 in Python, so without the check (True, 1) stood for (1, 1)
+    with pytest.raises(MalformedPairSetError, match="is not two positive integers"):
+        entails({pair}, {(1, 1)}, PHI4)
+    with pytest.raises(MalformedPairSetError, match="is not two positive integers"):
+        find_entailment(index_family(PHI4, 2), 1, [pair], 3)
+
+
 def test_entails_i_set_content_clash():
     with pytest.raises(MalformedPairSetError):
         entails({(2, 1)}, [(1, 1), (1, 1)], PHI4)

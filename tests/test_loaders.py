@@ -8,12 +8,14 @@ fails the test with the input that raised it.
 
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sigma2lab.blockwords import packed_from_str
 from sigma2lab.circuits import circuit_from_json
 from sigma2lab.errors import (
     AlphabetMismatchError,
+    CircuitStructureError,
     RegexSyntaxError,
     ToolkitError,
     UnknownSymbolError,
@@ -94,6 +96,66 @@ CIRCUITS = st.fixed_dictionaries(
 @example('{"n": 1e400, "alphabet": "ab", "top": [], "and": [], "bottom": [], "k": 1}')
 def test_circuit_from_json_refuses_cleanly(text):
     _loads_or_refuses(circuit_from_json, text)
+
+
+VALID_CIRCUIT = {
+    "n": 4,
+    "k": 1,
+    "alphabet": ["a", "b"],
+    "top": [[{"pos": 1, "letter": "a"}]],
+    "and": [[0]],
+    "bottom": [0],
+}
+
+
+def test_a_well_typed_circuit_loads_as_written():
+    c = circuit_from_json(json.dumps(VALID_CIRCUIT))
+    assert (c.n, c.k, c.alphabet) == (4, 1, ("a", "b"))
+    assert (c.top, c.ands, c.bottom) == ((((1, "a"),),), ((0,),), (0,))
+
+
+def _with(path: tuple, value) -> dict:
+    """VALID_CIRCUIT with the entry at path replaced by value."""
+    payload = json.loads(json.dumps(VALID_CIRCUIT))
+    *outer, last = path
+    node = payload
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # every number truncated or coerced at once, as int() and tuple() did
+        {
+            "n": 4.7,
+            "k": 1.9,
+            "alphabet": "ab",
+            "top": [[{"pos": True, "letter": "a"}]],
+            "and": [[0.5]],
+            "bottom": ["0"],
+        },
+        _with(("n",), 4.0),
+        _with(("n",), True),
+        _with(("k",), 1.9),
+        _with(("k",), "1"),
+        _with(("alphabet",), "ab"),
+        _with(("alphabet",), {"a": 1, "b": 2}),
+        _with(("top", 0, 0, "pos"), 1.5),
+        _with(("top", 0, 0, "pos"), True),
+        _with(("top", 0, 0, "letter"), 1),
+        _with(("and", 0, 0), 0.5),
+        _with(("and", 0, 0), False),
+        _with(("and", 0), "0"),
+        _with(("bottom", 0), "0"),
+        _with(("bottom",), {}),
+    ],
+)
+def test_circuit_from_json_coerces_nothing(payload):
+    with pytest.raises(CircuitStructureError, match="^malformed circuit payload: "):
+        circuit_from_json(json.dumps(payload))
 
 
 STATES = st.integers(-1, 4)
