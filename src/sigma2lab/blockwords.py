@@ -5,7 +5,8 @@ length n = r*r is good when every block carries exactly one a, and bad
 when exactly one block is all b and every other block carries exactly
 one a. Good and bad words pack into tuples over {1..r} with None for
 the empty block, and that packed view is where the combinatorial
-arguments live.
+arguments live. This module owns it: pack_family packs a family of
+good words for both limit oracles, flowers and entailment.
 
 A word u is a k-limit of a family F when no k positions can tell u
 apart from all of F at once: for every set P of at most k positions
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, compress, product
 from math import comb, isqrt
 
-from .errors import NonSquareLengthError, PackError, SearchBudgetError
+from .errors import NonSquareLengthError, PackError, PreconditionError, SearchBudgetError
 
 A = "a"
 B = "b"
@@ -92,6 +93,31 @@ def unpack(packed: Packed) -> str:
         else:
             raise PackError(f"entry {v!r} at block {idx + 1} is not None or in 1..{r}")
     return "".join(out)
+
+
+def pack_family(words) -> tuple[list[Packed], int]:
+    """Distinct packed members in lexicographic order, plus the block size.
+
+    Distinct words are checked once each, in input order. A word of r
+    a's, n - r b's and an a in every block is good, so one find per
+    block packs it.
+    """
+    ws = list(words)
+    if not ws:
+        raise PreconditionError("family is empty; block size undetermined")
+    n = len(ws[0])
+    r = block_count(n)
+    starts = range(0, n, r)
+    members = set()
+    for w in dict.fromkeys(ws):
+        if len(w) != n:
+            raise PreconditionError(f"family member {w!r} has mismatched length")
+        packed = tuple([w.find(A, s, s + r) - s + 1 for s in starts])
+        if min(packed) < 1 or w.count(A) != r or w.count(B) != n - r:
+            check_block_word(w)  # a letter outside {a, b} is a PackError
+            raise PreconditionError(f"family member {w!r} is not good")
+        members.add(packed)
+    return sorted(members), r
 
 
 def packed_to_str(packed: Packed) -> str:

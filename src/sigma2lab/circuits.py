@@ -44,8 +44,8 @@ class Sigma2Circuit:
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise CircuitStructureError("alphabet must be nonempty and duplicate free")
         for sym in self.alphabet:
-            if not (isinstance(sym, str) and sym):
-                raise CircuitStructureError(f"alphabet symbol {sym!r} is not a nonempty string")
+            if not (isinstance(sym, str) and len(sym) == 1):
+                raise CircuitStructureError(f"alphabet symbol {sym!r} is not a single letter")
         if self.k < 0:
             raise CircuitStructureError("fan-in bound must be nonnegative")
         letters = set(self.alphabet)
@@ -107,7 +107,7 @@ def densest_and_gate(c: Sigma2Circuit, accepted) -> tuple[int, list[str]]:
     gates'. The first word eval_circuit would refuse is reported.
     """
     words = list(accepted)
-    letters = "".join(x for x in c.alphabet if len(x) == 1)
+    letters = "".join(c.alphabet)
     # words[:valid] pass eval_circuit's length and letter checks
     valid = next(
         (j for j, w in enumerate(words) if len(w) != c.n or w.strip(letters)), len(words)

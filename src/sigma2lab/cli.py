@@ -217,8 +217,11 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
 )
 @json_option
 def klimit(u: str, k: int, family: str, as_json: bool) -> None:
-    """Check whether a word is a k-limit of a family of words as long as u."""
+    """Check whether a block word is a k-limit of a family of block words as long as u."""
+    check_block_word(u)
     words = _parse_family(None, family, len(u))[1]
+    for w in words:
+        check_block_word(w)
     ce = k_limit_counterexample(u, words, k)
     if ce is None:
         checks = {"recheck_is_limit": _recheck_k_limit(u, words, k)}
@@ -249,7 +252,7 @@ def klimit(u: str, k: int, family: str, as_json: bool) -> None:
 def flower(
     n: int | None, p: int, family: str, sample: int, seed: int, as_json: bool
 ) -> None:
-    """Find a flower among the position sets of a family of good words."""
+    """Find a flower among the position sets of a family of block words."""
     from .flowers import find_flower, verify_flower
 
     n, words = _parse_family(n, family, 9)

@@ -1,6 +1,7 @@
 """Entailment between packed constraints, tangled families, encodings.
 
-A packed family Phi lists good words as tuples over {1..r}. A pair
+A packed family Phi lists good words as tuples over {1..r}, packed by
+blockwords.pack_family as for the flower oracle. A pair
 (p, c) constrains a member to carry content c at position p. A set S of
 pairs with distinct positions entails an i-set D (pairs sharing
 position i, distinct contents) when every member agreeing with all of S
@@ -34,16 +35,7 @@ from itertools import combinations
 from math import comb
 from operator import and_, or_
 
-from .blockwords import (
-    A,
-    B,
-    Packed,
-    block_count,
-    check_block_word,
-    is_bad,
-    is_k_limit,
-    unpack,
-)
+from .blockwords import Packed, is_bad, is_k_limit, pack_family, unpack
 from .errors import (
     DegeneracyError,
     MalformedPairSetError,
@@ -61,31 +53,6 @@ Pair = tuple[int, int]  # (position, content), both 1-indexed
 # raise them consciously, not by default
 MAX_R = 5
 MAX_K = 2
-
-
-def pack_family(words) -> tuple[list[Packed], int]:
-    """Distinct packed members in lexicographic order, plus the block size.
-
-    Distinct words are checked once each, in input order. A word of r
-    a's, n - r b's and an a in every block is good, so one find per
-    block packs it.
-    """
-    ws = list(words)
-    if not ws:
-        raise PreconditionError("family is empty; block size undetermined")
-    n = len(ws[0])
-    r = block_count(n)
-    starts = range(0, n, r)
-    members = set()
-    for w in dict.fromkeys(ws):
-        if len(w) != n:
-            raise PreconditionError(f"family member {w!r} has mismatched length")
-        packed = tuple([w.find(A, s, s + r) - s + 1 for s in starts])
-        if min(packed) < 1 or w.count(A) != r or w.count(B) != n - r:
-            check_block_word(w)  # a letter outside {a, b} is a PackError
-            raise PreconditionError(f"family member {w!r} is not good")
-        members.add(packed)
-    return sorted(members), r
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Applied to the position sets of good words, a flower gives a limit: the
 word carrying a's exactly on the core differs from each petal word only
 inside that petal's outside part, and any p-1 positions must miss one
 of p disjoint parts. So the core word is a (p-1)-limit of the petal
-words, and of any family containing them.
+words, and of any family containing them. The position sets are read
+off the packing of blockwords.pack_family, which entailment shares.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
-from .blockwords import is_good, is_k_limit, word_from_positions
-from .entailment import pack_family
+from .blockwords import is_good, is_k_limit, pack_family, word_from_positions
 from .errors import DegeneracyError, VerificationError
 
 

@@ -26,13 +26,14 @@ from sigma2lab.blockwords import (
     is_k_limit,
     k_limit_counterexample,
     pack,
+    pack_family,
     packed_from_str,
     packed_to_str,
     tau,
     unpack,
     word_from_positions,
 )
-from sigma2lab.errors import NonSquareLengthError, PackError, SearchBudgetError
+from sigma2lab.errors import NonSquareLengthError, PackError, PreconditionError, SearchBudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,25 @@ def test_pack_roundtrip_property(packed):
     w = unpack(packed)
     assert pack(w) == packed
     assert packed_from_str(packed_to_str(packed)) == packed
+
+
+def test_pack_family_sorts_and_dedupes():
+    phi, r = pack_family(["abba", "abab", "abab"])
+    assert phi == [(1, 1), (1, 2)]
+    assert r == 2
+
+
+def test_pack_family_guards():
+    with pytest.raises(PreconditionError):
+        pack_family([])
+    with pytest.raises(PreconditionError):
+        pack_family(["abab", "abbbabbba"])
+    with pytest.raises(PreconditionError):
+        pack_family(["aabb"])  # two a's in a block
+    with pytest.raises(PreconditionError):
+        pack_family(["abab", "bbab"])  # an empty block
+    with pytest.raises(PackError):
+        pack_family(["abab", "acab"])  # a letter outside {a, b}
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,26 @@ def test_klimit_length_mismatch_exits_two(runner):
     assert result.exit_code == 2
 
 
+NOT_A_OR_B = "letter 'c' at position 3 is not a or b"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--u", "abcabcabc"], NOT_A_OR_B),
+        (["--u", "abcabcabc", "--family", "abcabcabc"], NOT_A_OR_B),
+        (["--u", "abbbabbba", "--family", "abbbabbba,abcbabbba"], NOT_A_OR_B),
+        (["--u", "abc", "--family", "abc,bca"], "length 3 is not a positive perfect square"),
+    ],
+)
+def test_klimit_refuses_what_is_not_a_block_word(runner, args, message):
+    # each of these once exited 0 with a verdict
+    result = runner.invoke(main, ["lab", "klimit", "--k", "1", *args])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"invalid input: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # lab flower
 

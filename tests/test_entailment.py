@@ -11,7 +11,7 @@ import pytest
 
 from oracles import brute_is_k_limit
 from sigma2lab import entailment
-from sigma2lab.blockwords import enumerate_good, is_bad, pack, unpack
+from sigma2lab.blockwords import enumerate_good, is_bad, pack, pack_family, unpack
 from sigma2lab.entailment import (
     MemberCode,
     bad_limit_via_entailment,
@@ -24,7 +24,6 @@ from sigma2lab.entailment import (
     find_entailment,
     index_family,
     is_tangled,
-    pack_family,
     tangled_encoding,
 )
 from sigma2lab.errors import (
@@ -41,29 +40,6 @@ GOOD4 = enumerate_good(4)
 GOOD9 = enumerate_good(9)
 PHI4 = [pack(w) for w in GOOD4]
 DIAG9 = ["abbbabbba"[:0] + unpack((c, c, c)) for c in (1, 2, 3)]
-
-
-# ---------------------------------------------------------------------------
-# pack_family
-
-
-def test_pack_family_sorts_and_dedupes():
-    phi, r = pack_family(["abba", "abab", "abab"])
-    assert phi == [(1, 1), (1, 2)]
-    assert r == 2
-
-
-def test_pack_family_guards():
-    with pytest.raises(PreconditionError):
-        pack_family([])
-    with pytest.raises(PreconditionError):
-        pack_family(["abab", "abbbabbba"])
-    with pytest.raises(PreconditionError):
-        pack_family(["aabb"])  # two a's in a block
-    with pytest.raises(PreconditionError):
-        pack_family(["abab", "bbab"])  # an empty block
-    with pytest.raises(PackError):
-        pack_family(["abab", "acab"])  # a letter outside {a, b}
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ def _loaded(args: list[str]) -> set[str]:
 
 
 # what importing sigma2lab.cli loads, and what each command adds to it;
-# flowers packs its family with entailment's pack_family
+# flowers and entailment both pack their family with blockwords' pack_family
 CLI = {"cli", "blockwords", "errors", "reductions", "reports"}
 COMMANDS = [
     (["analyze", "(ac*b+c)*", "--alphabet", "abc"], ALGEBRA),
     (["lab", "klimit", "--u", "abbbabbba", "--k", "1"], set()),
-    (["lab", "flower", "--n", "9", "-p", "2"], {"flowers", "entailment"}),
+    (["lab", "flower", "--n", "9", "-p", "2"], {"flowers"}),
     (["lab", "tangled", "--n", "9", "--k", "1"], {"entailment"}),
     (["lab", "dichotomy", "--n", "9", "--k", "1", "--samples", "2"], {"entailment"}),
     (["reduce", "expand", "--word", "abbbabbba"], {"languages"}),
@@ -68,7 +68,7 @@ COMMANDS = [
     ),
     (
         ["circuit", "adversary", "--fixture", "block-selector", "--oracle", "flower"],
-        {"circuits", "flowers", "entailment"},
+        {"circuits", "flowers"},
     ),
 ]
 

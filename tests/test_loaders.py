@@ -158,6 +158,14 @@ def test_circuit_from_json_coerces_nothing(payload):
         circuit_from_json(json.dumps(payload))
 
 
+def test_a_letter_of_two_characters_is_refused():
+    # words are strings of single letters, so a literal testing "ab" could never fire
+    payload = _with(("alphabet",), ["a", "b", "ab"])
+    payload["top"][0][0]["letter"] = "ab"
+    with pytest.raises(CircuitStructureError, match="^alphabet symbol 'ab' is not a single letter$"):
+        circuit_from_json(json.dumps(payload))
+
+
 STATES = st.integers(-1, 4)
 ROWS = st.lists(STATES | st.lists(STATES, max_size=3).map(tuple), max_size=4).map(tuple)
 

@@ -43,3 +43,18 @@ def test_every_counted_boundary_counts_work():
         tracing.uninstall(patches)
     assert set(rec.names) >= set(tracing.COUNTERS)
     assert {name: rec.counts[name] for name in tracing.COUNT_NAMES if rec.counts[name] <= 0} == {}
+
+
+def test_the_flower_path_packs_under_the_entailment_boundary():
+    # flowers imports pack_family from blockwords; the tracer wraps that one
+    # function at every binding, so the flower path still counts its packing
+    good9 = blockwords.enumerate_good(9)
+    rec = tracing.Recorder(clock=time.perf_counter)
+    patches = tracing.install(rec)
+    try:
+        assert flowers.bad_limit_via_flower(good9, 1) is not None
+    finally:
+        tracing.uninstall(patches)
+    assert rec.names.count("entailment.pack_family") == 1
+    assert rec.counts["entailment.members_packed"] == len(good9)
+    assert tracing.leftover_wrappers() == []
