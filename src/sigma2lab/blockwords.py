@@ -6,7 +6,8 @@ when exactly one block is all b and every other block carries exactly
 one a. Good and bad words pack into tuples over {1..r} with None for
 the empty block, and that packed view is where the combinatorial
 arguments live. This module owns it: pack_family packs a family of
-good words for both limit oracles, flowers and entailment.
+good words for both limit oracles, flowers and entailment, one block
+column at a time over the sorted distinct words.
 
 A word u is a k-limit of a family F when no k positions can tell u
 apart from all of F at once: for every set P of at most k positions
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations, compress, product
 from math import comb, isqrt
+from operator import itemgetter
 
 from .errors import NonSquareLengthError, PackError, PreconditionError, SearchBudgetError
 
@@ -98,26 +100,32 @@ def unpack(packed: Packed) -> str:
 def pack_family(words) -> tuple[list[Packed], int]:
     """Distinct packed members in lexicographic order, plus the block size.
 
-    Distinct words are checked once each, in input order. A word of r
-    a's, n - r b's and an a in every block is good, so one find per
-    block packs it.
+    The distinct words are sorted once: among good words of one length,
+    string order (a < b) is packed order. Each block is then read as a
+    column, one slice per word looked up among the r blocks with one a,
+    and the columns zip into the members. A word of the wrong length or
+    with some other block is a fault; the first faulty distinct word in
+    input order is named, a letter outside {a, b} as a PackError.
     """
     ws = list(words)
     if not ws:
         raise PreconditionError("family is empty; block size undetermined")
     n = len(ws[0])
     r = block_count(n)
-    starts = range(0, n, r)
-    members = set()
-    for w in dict.fromkeys(ws):
-        if len(w) != n:
-            raise PreconditionError(f"family member {w!r} has mismatched length")
-        packed = tuple([w.find(A, s, s + r) - s + 1 for s in starts])
-        if min(packed) < 1 or w.count(A) != r or w.count(B) != n - r:
-            check_block_word(w)  # a letter outside {a, b} is a PackError
-            raise PreconditionError(f"family member {w!r} is not good")
-        members.add(packed)
-    return sorted(members), r
+    content = {B * (c - 1) + A + B * (r - c): c for c in range(1, r + 1)}
+    distinct = sorted(set(ws))
+    columns = [
+        list(map(content.get, map(itemgetter(slice(s, s + r)), distinct)))
+        for s in range(0, n, r)
+    ]
+    if any(None in column for column in columns) or {n} != set(map(len, distinct)):
+        for w in dict.fromkeys(ws):
+            if len(w) != n:
+                raise PreconditionError(f"family member {w!r} has mismatched length")
+            if not all(w[s : s + r] in content for s in range(0, n, r)):
+                check_block_word(w)  # a letter outside {a, b} is a PackError
+                raise PreconditionError(f"family member {w!r} is not good")
+    return list(zip(*columns)), r
 
 
 def packed_to_str(packed: Packed) -> str:
@@ -157,18 +165,24 @@ def word_from_positions(n: int, positions) -> str:
     return "".join(A if i + 1 in pos else B for i in range(n))
 
 
-def enumerate_good(n: int) -> list[str]:
-    """All good words of length n in lexicographic order (a < b).
-
-    There are r**r of them; beyond K_LIMIT_WORK_LIMIT words the family is
-    refused before any is built.
-    """
+def count_good(n: int) -> int:
+    """r**r, the number of good words of length n, refused beyond K_LIMIT_WORK_LIMIT."""
     r = block_count(n)
     # past the limit's bit length r**r >= 2**r exceeds it, so no huge power is taken
     if r > K_LIMIT_WORK_LIMIT.bit_length() or r**r > K_LIMIT_WORK_LIMIT:
         raise SearchBudgetError(
             f"the good family of length {n} has {r}**{r} words, beyond desk scale"
         )
+    return r**r
+
+
+def enumerate_good(n: int) -> list[str]:
+    """All good words of length n in lexicographic order (a < b).
+
+    The family is refused before any word is built when count_good refuses it.
+    """
+    count_good(n)
+    r = isqrt(n)
     return [unpack(p) for p in product(range(1, r + 1), repeat=r)]
 
 
@@ -208,6 +222,13 @@ def members_of(mask: int, items) -> list:
     return list(compress(items, map(int, reversed(f"{mask:b}"))))
 
 
+def check_limit_budget(n: int, k: int, family_size: int) -> None:
+    """Refuse a limit check whose position sets times members exceed K_LIMIT_WORK_LIMIT."""
+    sets = comb(n, min(k, n))
+    if sets * max(family_size, 1) > K_LIMIT_WORK_LIMIT:
+        raise SearchBudgetError(f"limit check over {sets} position sets is beyond desk scale")
+
+
 def k_limit_counterexample(
     u: str, family, k: int
 ) -> tuple[int, ...] | None:
@@ -226,11 +247,8 @@ def k_limit_counterexample(
     for w in fam:
         if len(w) != n:
             raise PackError("family words must have the same length as u")
+    check_limit_budget(n, k, len(fam))
     size = min(k, n)
-    if comb(n, size) * max(len(fam), 1) > K_LIMIT_WORK_LIMIT:
-        raise SearchBudgetError(
-            f"limit check over {comb(n, size)} position sets is beyond desk scale"
-        )
     masks = letter_masks(fam, n)
     agree = [masks.get((p, x), 0) for p, x in enumerate(u, 1)]
     everyone = (1 << len(fam)) - 1

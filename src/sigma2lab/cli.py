@@ -31,6 +31,8 @@ from .blockwords import (
     agree_on,
     block_count,
     check_block_word,
+    check_limit_budget,
+    count_good,
     enumerate_good,
     is_good,
     k_limit_counterexample,
@@ -219,6 +221,8 @@ def _sampled(words: list[str], sample: int, seed: int) -> list[str]:
 def klimit(u: str, k: int, family: str, as_json: bool) -> None:
     """Check whether a block word is a k-limit of a family of block words as long as u."""
     check_block_word(u)
+    if family == "good" and k >= 0:  # a negative k is k_limit_counterexample's PackError
+        check_limit_budget(len(u), k, count_good(len(u)))
     words = _parse_family(None, family, len(u))[1]
     for w in words:
         check_block_word(w)

@@ -82,12 +82,18 @@ class FamilyIndex:
 
 
 def index_family(Phi, r: int) -> FamilyIndex:
-    """The index of a packed family's distinct r-block members, in sorted order."""
+    """The index of a packed family's distinct r-block members, in sorted order.
+
+    Each position's column of contents is read as bytes, member j at
+    digit j from the right; translating the bytes equal to c into 1 and
+    every other byte into 0 gives the (position, c) mask in binary.
+    """
     members = tuple(sorted(set(Phi)))
     at: dict[Pair, int] = {}
-    for j, mu in enumerate(members):
-        for pair in enumerate(mu, 1):
-            at[pair] = at.get(pair, 0) | 1 << j
+    for p, column in enumerate(zip(*members), 1):
+        digits = bytes(column[::-1])
+        for c in set(column):
+            at[(p, c)] = int(digits.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2)
     return FamilyIndex(members, r, at, (1 << len(members)) - 1)
 
 

@@ -103,13 +103,13 @@ def bad_limit_via_flower(family, k: int) -> FlowerLimit | None:
     returned word has passed the exhaustive limit check; a flower that
     failed to produce one would be a bug, not a data condition.
     """
+    if k < 0:
+        raise DegeneracyError("k must be nonnegative")
     words = list(family)
     members, r = pack_family(words)
     n = r * r
     # the a of block b sits at position b*r + its content
     sets = [frozenset(map(add, range(0, n, r), mu)) for mu in members]
-    if k < 0:
-        raise DegeneracyError("k must be nonnegative")
     flower = find_flower(sets, k + 1)
     if flower is None:
         return None

@@ -6,7 +6,8 @@ and subword relations by brute force over words and contexts, Moore
 refinement instead of Hopcroft, limits by scanning every position set.
 The lab's k-limit probes, entailment search, packed limit conditions
 and densest gate are also kept as the member-by-member scans their
-bitset indexes replaced.
+bitset indexes replaced, and a family is also packed word by word with
+pack and indexed member by member, not column by column.
 Patterns are also parsed into regex trees by recursive descent, and
 to_pattern writes a tree back as pattern text, so trees drawn by the
 tests reach the package through its one entry, compile_pattern.
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from sigma2lab.blockwords import K_LIMIT_WORK_LIMIT
+from sigma2lab.blockwords import K_LIMIT_WORK_LIMIT, block_count, pack
+from sigma2lab.entailment import FamilyIndex
 from sigma2lab.errors import (
     AlphabetMismatchError,
     MalformedPairSetError,
@@ -805,6 +807,39 @@ def naive_eval(circuit, word: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # the lab's member scans, one member at a time
+
+
+def scan_pack_family(words):
+    """Every distinct word packed alone with pack, first fault in input order."""
+    ws = list(words)
+    if not ws:
+        raise PreconditionError("family is empty; block size undetermined")
+    n = len(ws[0])
+    r = block_count(n)
+    members = set()
+    for w in dict.fromkeys(ws):
+        if len(w) != n:
+            raise PreconditionError(f"family member {w!r} has mismatched length")
+        try:
+            packed = pack(w)
+        except PackError:
+            if w.strip("ab"):
+                raise  # a letter outside {a, b}
+            packed = (None,)  # two a's in a block
+        if None in packed:
+            raise PreconditionError(f"family member {w!r} is not good")
+        members.add(packed)
+    return sorted(members), r
+
+
+def scan_index_family(Phi, r: int) -> FamilyIndex:
+    """The masks ORed together member by member, position by position."""
+    members = tuple(sorted(set(Phi)))
+    at = {}
+    for j, mu in enumerate(members):
+        for pair in enumerate(mu, 1):
+            at[pair] = at.get(pair, 0) | 1 << j
+    return FamilyIndex(members, r, at, (1 << len(members)) - 1)
 
 
 def scan_k_limit_counterexample(u: str, family, k: int):

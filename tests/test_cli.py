@@ -335,6 +335,45 @@ def test_a_good_family_beyond_the_search_budget_is_refused_unbuilt(
 
 
 @pytest.mark.parametrize(
+    "u, k, code, message",
+    [
+        # r=7: 49 position sets times 7**7 words
+        ("abbbbbb" * 7, "1", 3, "too large: limit check over 49 position sets is beyond desk scale"),
+        # r=8: 8**8 words is enumerate_good's own refusal
+        ("abbbbbbb" * 8, "1", 3, "too large: the good family of length 64 has 8**8 words, beyond desk scale"),
+    ],
+    ids=["r7-limit-budget", "r8-family-budget"],
+)
+def test_a_limit_check_beyond_desk_scale_is_refused_before_the_good_family_is_built(
+    runner, monkeypatch, u, k, code, message
+):
+    def unbuilt(n):
+        raise AssertionError(f"the good family of length {n} was built")
+
+    monkeypatch.setattr(cli, "enumerate_good", unbuilt)
+    result = runner.invoke(main, ["lab", "klimit", "--u", u, "--k", k])
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == f"{message}\n"
+
+
+@pytest.mark.parametrize(
+    "k, code, message",
+    [
+        ("-1", 2, "invalid input: k must be nonnegative"),
+        ("1", 3, "too large: limit check over 9 position sets is beyond desk scale"),
+    ],
+)
+def test_a_negative_k_is_refused_before_the_limit_budget(runner, monkeypatch, k, code, message):
+    # 27 good words fit the limit; 9 position sets times 27 words do not
+    monkeypatch.setattr(blockwords, "K_LIMIT_WORK_LIMIT", 30)
+    result = runner.invoke(main, ["lab", "klimit", "--u", "abbbabbba", "--k", k])
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == f"{message}\n"
+
+
+@pytest.mark.parametrize(
     "args, n",
     [
         (["lab", "klimit", "--u", "abbbabbba", "--k", "1", "--family", "1,2,3"], 9),

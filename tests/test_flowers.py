@@ -183,8 +183,10 @@ def test_limit_guards():
         bad_limit_via_flower(["abab", "aabb"], 1)
     with pytest.raises(PreconditionError, match="mismatched length"):
         bad_limit_via_flower(["abab", "abbbabbba"], 1)
-    with pytest.raises(DegeneracyError):
-        bad_limit_via_flower(["abab"], -1)
+    # a negative k is refused before the family is packed, faulty or not
+    for family in (["abab"], [], ["abab", "aabb"], ["abab", "abbbabbba"], ["abab", "acab"]):
+        with pytest.raises(DegeneracyError, match="k must be nonnegative"):
+            bad_limit_via_flower(family, -1)
 
 
 def test_limits_verified_on_random_subfamilies():

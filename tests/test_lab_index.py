@@ -1,10 +1,12 @@
 """The lab's bitset indexes against the member scans they replaced.
 
 k-limit probes, the entailment search, the packed limit conditions and
-the densest gate answer from member masks. Each is compared here with
-the scan in oracles.py on seeded random inputs: families with r <= 5
-and k <= 2, empty families, repeated members, and letters outside
-{a, b}. Results must be identical, and so must the error raised.
+the densest gate answer from member masks, and a family is packed and
+indexed column by column. Each is compared here with the scan in
+oracles.py on seeded random inputs: families with r <= 5 and k <= 2
+(r <= 6 for packing and indexing), empty families, repeated and
+shuffled members, and every kind of faulty word. Results must be
+identical, and so must the error raised.
 """
 
 import random
@@ -15,9 +17,11 @@ from oracles import (
     scan_densest_and_gate,
     scan_find_entailment,
     scan_k_limit_counterexample,
+    scan_index_family,
     scan_limit_conditions,
+    scan_pack_family,
 )
-from sigma2lab.blockwords import k_limit_counterexample
+from sigma2lab.blockwords import k_limit_counterexample, pack_family, unpack
 from sigma2lab.circuits import Sigma2Circuit, densest_and_gate
 from sigma2lab.entailment import (
     check_packed_limit_conditions,
@@ -64,6 +68,59 @@ def test_k_limit_probes_match_the_scan():
         assert got == outcome(scan_k_limit_counterexample, u, family, k), (u, family, k)
         verdicts.add(got[0] if got[0] == "error" else got[1] is None)
     assert verdicts == {True, False, "error"}
+
+
+def _spoiled(rng, w: str, r: int) -> str:
+    """w with one fault: its length, two a's or none in a block, or a letter outside {a, b}."""
+    kind = rng.choice(("length", "two a's", "empty block", "letter"))
+    if kind == "length":
+        return w[:-1] if rng.random() < 0.5 else w + rng.choice("ab") * rng.randint(1, 3)
+    start = r * rng.randrange(r)
+    block = list(w[start : start + r])
+    if kind == "two a's" and r > 1:
+        block[rng.choice([i for i, x in enumerate(block) if x != "a"])] = "a"
+    elif kind == "letter":
+        block[rng.randrange(r)] = rng.choice("cA ")
+    else:  # an empty block; also the two a's fault when one letter leaves no room
+        block = ["b"] * r
+    return w[:start] + "".join(block) + w[start + r :]
+
+
+FAULTS = ("mismatched length", "is not good", "is not a or b", "positive perfect square")
+
+
+def test_packing_and_indexing_match_the_word_by_word_scans():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(800):
+        r = rng.randint(1, 6)
+        pool = [
+            unpack(tuple(rng.randint(1, r) for _ in range(r))) for _ in range(rng.randint(1, 12))
+        ]
+        family = [rng.choice(pool) for _ in range(rng.choice((0, 1, 2, 5, 10, 40)))]
+        for _ in range(rng.choice((0, 0, 1, 2, 3)) if family else 0):
+            spoiled = _spoiled(rng, rng.choice(pool), r)
+            family[rng.randrange(len(family))] = spoiled
+            family.append(spoiled)  # a repeated fault is named once
+        rng.shuffle(family)
+        want = outcome(scan_pack_family, family)
+        assert outcome(pack_family, family) == want, family
+        if want[0] == "error":
+            kinds.add(next((f for f in FAULTS if f in want[2]), want[2]))
+            continue
+        kinds.add(("value", r))
+        phi = want[1][0] * rng.randint(1, 3) if rng.random() < 0.9 else []
+        rng.shuffle(phi)
+        got, ref = index_family(phi, r), scan_index_family(phi, r)
+        assert (got.members, got.r, got.at, got.everyone) == (
+            ref.members,
+            ref.r,
+            ref.at,
+            ref.everyone,
+        ), phi
+    assert kinds == {*FAULTS, "family is empty; block size undetermined"} | {
+        ("value", r) for r in range(1, 7)
+    }
 
 
 def _packed_family(rng, r: int) -> list:
